@@ -2,50 +2,34 @@
  * @file
  * Simulator-core steady-state throughput benchmark.
  *
- * Two measurements, one canonical JSON artifact (BENCH_simcore.json):
+ * Five measurements, one canonical JSON artifact (BENCH_simcore.json):
  *
- * 1. Event-dispatch microbenchmark: a ring of in-flight "RDMA read"
- *    completions — the dominant event on the fault/prefetch path —
- *    driven through (a) the production sim::EventQueue with templated
- *    completion callbacks landing in inline-storage events, and (b) an
- *    in-binary replica of the pre-rewrite design: the completion
- *    callback type-erased into a std::function, wrapped in a second
- *    std::function for the queue (the old RdmaFabric::readAsync
- *    idiom), stored in a std::priority_queue whose const top() forces
- *    one more deep copy on every dispatch. The replica IS the recorded
- *    baseline, so the speedup in the artifact always compares against
- *    the design this PR replaced, on the same machine, in the same
- *    run.
+ * 1. Event dispatch: a ring of in-flight "RDMA read" completions — the
+ *    dominant event on the fault/prefetch path — driven through the
+ *    production sim::EventQueue with templated completion callbacks
+ *    landing in inline-storage events.
  *
- * 2. Page-walk microbenchmark: the access hot path's translation step
- *    over a resident working set, measured three ways — (a) an
- *    in-binary replica of the pre-rewrite flat-hash page table
- *    (std::unordered_map keyed by pageKey), (b) the production
- *    two-level radix walk (vm/page_table.hh), and (c) the radix walk
- *    fronted by the software TLB (vm/tlb.hh), the configuration the
- *    simulator actually runs. As with the event-dispatch replica, the
- *    hash baseline is measured in the same binary on the same machine.
- *
- * 3. Sweep scaling: a 16-config (workload, system, ratio) sweep run
+ * 2. Sweep scaling: a 16-config (workload, system, ratio) sweep run
  *    through runner::SweepPool serially and with 4 workers, recording
  *    both wall times, the speedup, and host_cpus — on a single-core
  *    host the speedup is honestly ~1, and the artifact says so.
  *
- * 4. End-to-end steady state: a full HoPP machine run (microbench
+ * 3. End-to-end steady state: a full HoPP machine run (microbench
  *    workload, 50% local memory) reporting faults/sec, events/sec and
  *    wall-ns per simulated millisecond.
  *
- * 5. Batched access execution: the same end-to-end run with the
- *    batched pump and with --no-batch, best of three each, asserting
- *    the two agree on every simulated outcome and recording the
- *    host-side speedup.
- *
- * 6. Trace replay: the end-to-end run again with --record-trace on,
+ * 4. Trace replay: the end-to-end run again with --record-trace on,
  *    then the recorded trace replayed through runner::ReplayEngine,
  *    best of three. Reports replay throughput (records/sec), the
  *    replay speedup over re-simulating live, the on-disk compression
  *    vs the raw 16 B/record HMTT format, and whether the replayed
  *    MC-side stats matched the live run byte for byte.
+ *
+ * 5. Self-profile: the end-to-end run under the host self-profiler.
+ *
+ * The sweep's determinism and the replay's fidelity are self-checks:
+ * when either fails, the artifact is still written and the exit status
+ * is 1.
  *
  * Wall-clock use is deliberate and confined to bench/ (the determinism
  * lint only polices src/ and tools/): throughput numbers are exactly
@@ -58,21 +42,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/random.hh"
 #include "obs/profiler.hh"
 #include "runner/machine.hh"
 #include "runner/replay_engine.hh"
 #include "runner/sweep_pool.hh"
 #include "sim/event_queue.hh"
-#include "vm/page_table.hh"
-#include "vm/tlb.hh"
 #include "workloads/apps.hh"
 
 using namespace hopp;
@@ -88,82 +66,9 @@ wallSeconds(std::chrono::steady_clock::time_point t0,
 }
 
 /**
- * Replica of the event queue this PR replaced: type-erased
- * std::function closures (heap-allocated beyond the ~16 B SSO) in a
- * std::priority_queue, whose const top() forces a deep copy — and thus
- * more allocations — on every dispatch.
- */
-class LegacyQueue
-{
-  public:
-    void
-    schedule(Tick when, std::function<void()> fn)
-    {
-        pq_.push(Entry{when, seq_++, std::move(fn)});
-    }
-
-    void
-    scheduleIn(Duration delta, std::function<void()> fn)
-    {
-        schedule(now_ + delta, std::move(fn));
-    }
-
-    Tick now() const { return now_; }
-
-    bool
-    runOne()
-    {
-        if (pq_.empty())
-            return false;
-        Entry e = pq_.top(); // the historical copy-on-dispatch
-        pq_.pop();
-        now_ = e.when;
-        ++executed_;
-        e.fn();
-        return true;
-    }
-
-    std::uint64_t executed() const { return executed_; }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::function<void()> fn;
-
-        bool
-        operator>(const Entry &o) const
-        {
-            return when != o.when ? when > o.when : seq > o.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq_;
-    Tick now_;
-    std::uint64_t seq_ = 0;
-    std::uint64_t executed_ = 0;
-};
-
-/**
- * Pre-rewrite fabric idiom: the caller's completion callback is
- * type-erased into std::function (first allocation: the capture is
- * over the SSO), then wrapped in a second std::function for the queue
- * (second allocation); dispatch copies both again.
- */
-void
-legacyReadAsync(LegacyQueue &q, Duration lat,
-                std::function<void(Tick)> done)
-{
-    Tick completion = q.now() + lat;
-    q.schedule(completion,
-               [done = std::move(done), completion] { done(completion); });
-}
-
-/**
- * Post-rewrite fabric idiom (net/rdma.hh): the callback type flows
- * through a template parameter straight into the event's fixed inline
- * storage — zero allocations end to end.
+ * The fabric idiom (net/rdma.hh): the callback type flows through a
+ * template parameter straight into the event's fixed inline storage —
+ * zero allocations end to end.
  */
 template <typename F>
 void
@@ -182,26 +87,6 @@ inlineReadAsync(sim::EventQueue &q, Duration lat, F &&done)
  * faults and prefetch streams. The callback captures the actor plus a
  * (slot, vpn) pair, like the tree's completion closures.
  */
-struct LegacyActor
-{
-    LegacyQueue &q;
-    std::uint64_t budget;
-    std::uint64_t acc = 0;
-
-    void
-    onDone(Tick t, std::uint64_t slot, std::uint64_t vpn)
-    {
-        acc += t.raw() ^ slot ^ vpn;
-        if (budget == 0)
-            return;
-        --budget;
-        legacyReadAsync(q, Duration{1 + (acc & 7)},
-                        [this, slot = slot + 1, vpn = vpn + 2](Tick c) {
-                            onDone(c, slot, vpn);
-                        });
-    }
-};
-
 struct InlineActor
 {
     sim::EventQueue &q;
@@ -222,8 +107,7 @@ struct InlineActor
     }
 };
 
-/** Dispatch throughput of one queue flavour, best of three trials. */
-template <typename Queue, typename Actor>
+/** Event-queue dispatch throughput, best of three trials. */
 double
 dispatchEventsPerSec(std::uint64_t events_per_trial)
 {
@@ -235,9 +119,9 @@ dispatchEventsPerSec(std::uint64_t events_per_trial)
     constexpr int trials = 3;
     double best = 0;
     for (int trial = 0; trial < trials; ++trial) {
-        Queue q;
-        std::vector<Actor> ring(actors,
-                                Actor{q, events_per_trial / actors});
+        sim::EventQueue q;
+        std::vector<InlineActor> ring(
+            actors, InlineActor{q, events_per_trial / actors});
         auto t0 = std::chrono::steady_clock::now();
         for (int i = 0; i < actors; ++i)
             ring[i].onDone(Tick{static_cast<std::uint64_t>(1 + i)}, 1,
@@ -251,126 +135,6 @@ dispatchEventsPerSec(std::uint64_t events_per_trial)
             best = rate;
     }
     return best;
-}
-
-/**
- * Replica of the page table this PR replaced: one flat hash over
- * pageKey(pid, vpn). Every translation pays hashing, bucket probing,
- * and a dependent pointer chase; iteration order was a separate sort.
- */
-class LegacyHashTable
-{
-  public:
-    vm::PageInfo &
-    get(Pid pid, Vpn vpn)
-    {
-        return map_[vm::pageKey(pid, vpn)];
-    }
-
-    vm::PageInfo *
-    find(Pid pid, Vpn vpn)
-    {
-        auto it = map_.find(vm::pageKey(pid, vpn));
-        return it == map_.end() ? nullptr : &it->second;
-    }
-
-  private:
-    std::unordered_map<std::uint64_t, vm::PageInfo> map_;
-};
-
-/**
- * Access stream with page-level locality: pick a page, stay on it for
- * a short burst (consecutive lines of one page translate to the same
- * VPN), jump. This is the translation-request shape the VMS hot path
- * sees from the workload generators.
- */
-std::vector<std::uint64_t>
-makeWalkStream(std::uint64_t pages, std::uint64_t length)
-{
-    Pcg32 rng(7);
-    std::vector<std::uint64_t> stream;
-    stream.reserve(length);
-    while (stream.size() < length) {
-        std::uint64_t vpn = rng.below64(pages);
-        std::uint32_t burst = 1 + rng.below(8);
-        for (std::uint32_t b = 0; b < burst && stream.size() < length;
-             ++b)
-            stream.push_back(vpn);
-    }
-    return stream;
-}
-
-/** Translations/sec of one lookup flavour, best of three trials. */
-template <typename Lookup>
-double
-walkAccessesPerSec(const std::vector<std::uint64_t> &stream, Lookup fn)
-{
-    constexpr int trials = 3;
-    double best = 0;
-    std::uint64_t sink = 0;
-    for (int trial = 0; trial < trials; ++trial) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (std::uint64_t vpn : stream)
-            sink += reinterpret_cast<std::uintptr_t>(fn(Vpn{vpn}));
-        auto t1 = std::chrono::steady_clock::now();
-        double rate = static_cast<double>(stream.size()) /
-                      wallSeconds(t0, t1);
-        if (rate > best)
-            best = rate;
-    }
-    // Defeat dead-code elimination without perturbing the loop.
-    if (sink == 1)
-        std::fputc(' ', stderr);
-    return best;
-}
-
-struct PageWalk
-{
-    std::uint64_t residentPages;
-    std::uint64_t streamLength;
-    double legacyHashPerSec;
-    double radixPerSec;
-    double radixTlbPerSec;
-    double speedupVsLegacy;
-    double tlbHitRate;
-};
-
-PageWalk
-pageWalkBench(bool quick)
-{
-    const Pid pid{1};
-    PageWalk w;
-    w.residentPages = quick ? 16'384 : 65'536;
-    w.streamLength = quick ? 4'000'000 : 16'000'000;
-
-    LegacyHashTable legacy;
-    vm::PageTable radix;
-    vm::Tlb tlb(1024);
-    for (std::uint64_t v = 0; v < w.residentPages; ++v) {
-        legacy.get(pid, Vpn{v}).state = vm::PageState::Resident;
-        radix.get(pid, Vpn{v}).state = vm::PageState::Resident;
-    }
-
-    auto stream = makeWalkStream(w.residentPages, w.streamLength);
-    w.legacyHashPerSec = walkAccessesPerSec(stream, [&](Vpn vpn) {
-        return legacy.find(pid, vpn);
-    });
-    w.radixPerSec = walkAccessesPerSec(stream, [&](Vpn vpn) {
-        return radix.find(pid, vpn);
-    });
-    // The production shape (vm::Vms::access): TLB probe first, radix
-    // walk and fill on a miss.
-    w.radixTlbPerSec = walkAccessesPerSec(stream, [&](Vpn vpn) {
-        if (vm::PageInfo *pi = tlb.lookup(pid, vpn))
-            return pi;
-        vm::PageInfo *pi = radix.find(pid, vpn);
-        tlb.fill(pid, vpn, pi);
-        return pi;
-    });
-    w.speedupVsLegacy = w.radixTlbPerSec / w.legacyHashPerSec;
-    w.tlbHitRate = static_cast<double>(tlb.hits()) /
-                   static_cast<double>(tlb.hits() + tlb.misses());
-    return w;
 }
 
 struct SweepScaling
@@ -439,23 +203,18 @@ struct EndToEnd
 {
     double faultsPerSec;
     double eventsPerSec;
-    double accessesPerSec;
     double wallNsPerSimMs;
     std::uint64_t faults;
     std::uint64_t events;
-    std::uint64_t accesses;
-    Tick makespan;
 };
 
-/** One full HoPP machine run; @p batch selects the access pump. */
 EndToEnd
-endToEndOnce(bool quick, bool batch)
+endToEndSteadyState(bool quick)
 {
     runner::MachineConfig cfg;
     cfg.system = runner::SystemKind::Hopp;
     cfg.localMemRatio = 0.5; // half the footprint is remote: constant
                              // fault/prefetch pressure
-    cfg.batch = batch;
     workloads::WorkloadScale scale;
     scale.footprint = quick ? 0.2 : 1.0;
     scale.iterations = quick ? 0.2 : 1.0;
@@ -469,58 +228,10 @@ endToEndOnce(bool quick, bool batch)
     EndToEnd e;
     e.faults = m.vms().stats().faults();
     e.events = m.eventQueue().executed();
-    e.accesses = m.vms().stats().accesses;
-    e.makespan = r.makespan;
     e.faultsPerSec = static_cast<double>(e.faults) / wall;
     e.eventsPerSec = static_cast<double>(e.events) / wall;
-    e.accessesPerSec = static_cast<double>(e.accesses) / wall;
     e.wallNsPerSimMs = wall * 1e9 / sim_ms;
     return e;
-}
-
-EndToEnd
-endToEndSteadyState(bool quick)
-{
-    return endToEndOnce(quick, /*batch=*/true);
-}
-
-struct BatchedAccess
-{
-    EndToEnd batched; //!< best of three, batch pump (the default)
-    EndToEnd scalar;  //!< best of three, --no-batch scalar pump
-    double speedupVsScalar;
-    bool identicalResults;
-};
-
-/**
- * 5. Batched access execution (ROADMAP item 3): the end-to-end run
- *    with the batched pump against the same run with --no-batch,
- *    best of three each. The two must agree on every simulated
- *    outcome (identical_results) — the speedup is pure host-side.
- *    The >= 10x acceptance comparison is against the pre-batching
- *    committed artifact's end_to_end.faults_per_sec (hopp-report
- *    diffs the two JSONs).
- */
-BatchedAccess
-batchedAccessBench(bool quick)
-{
-    constexpr int trials = 3;
-    BatchedAccess b{};
-    for (int i = 0; i < trials; ++i) {
-        EndToEnd on = endToEndOnce(quick, true);
-        if (i == 0 || on.faultsPerSec > b.batched.faultsPerSec)
-            b.batched = on;
-        EndToEnd off = endToEndOnce(quick, false);
-        if (i == 0 || off.faultsPerSec > b.scalar.faultsPerSec)
-            b.scalar = off;
-    }
-    b.speedupVsScalar =
-        b.batched.faultsPerSec / b.scalar.faultsPerSec;
-    b.identicalResults = b.batched.faults == b.scalar.faults &&
-                         b.batched.accesses == b.scalar.accesses &&
-                         b.batched.events == b.scalar.events &&
-                         b.batched.makespan == b.scalar.makespan;
-    return b;
 }
 
 struct TraceReplay
@@ -538,14 +249,14 @@ struct TraceReplay
 };
 
 /**
- * 6. Trace replay (ROADMAP item 4 / DESIGN.md §15): record the
- *    end-to-end run's MC-side input stream, then sweep a policy grid
- *    over it in one ReplayEngine fan-out pass. "Live" throughput
- *    charges the recording run's whole wall time to its record count —
- *    that is exactly what a policy sweep pays per configuration
- *    without replay — and replay throughput is cells x records over
- *    the pass's wall time, since one pass evaluates every cell. Cell 0
- *    is the recorded configuration; its stats document must stay
+ * 4. Trace replay (DESIGN.md §15): record the end-to-end run's
+ *    MC-side input stream, then sweep a policy grid over it in one
+ *    ReplayEngine fan-out pass. "Live" throughput charges the
+ *    recording run's whole wall time to its record count — that is
+ *    exactly what a policy sweep pays per configuration without
+ *    replay — and replay throughput is cells x records over the
+ *    pass's wall time, since one pass evaluates every cell. Cell 0 is
+ *    the recorded configuration; its stats document must stay
  *    byte-identical to the live run's (the fidelity contract).
  */
 TraceReplay
@@ -628,7 +339,7 @@ traceReplayBench(bool quick)
 }
 
 /**
- * 7. Self-profile: the end-to-end run again, this time with the host
+ * 5. Self-profile: the end-to-end run again, this time with the host
  *    self-profiler armed, reporting where the simulator's own wall
  *    time goes (dispatch vs page walk vs fault path vs LLC vs ...).
  *    The attributed fraction is the profiler's coverage acceptance
@@ -671,23 +382,8 @@ main(int argc, char **argv)
     const std::uint64_t dispatch_events = quick ? 1'000'000 : 8'000'000;
 
     std::printf("simcore benchmark (%s)\n", quick ? "quick" : "full");
-    double inline_eps =
-        dispatchEventsPerSec<sim::EventQueue, InlineActor>(
-            dispatch_events);
-    double legacy_eps = dispatchEventsPerSec<LegacyQueue, LegacyActor>(
-        dispatch_events);
-    double speedup = inline_eps / legacy_eps;
-    std::printf("  dispatch: inline %.3fM ev/s, legacy replica %.3fM "
-                "ev/s, speedup %.2fx\n",
-                inline_eps / 1e6, legacy_eps / 1e6, speedup);
-
-    PageWalk w = pageWalkBench(quick);
-    std::printf("  page walk: radix+tlb %.1fM acc/s (tlb hit %.1f%%), "
-                "radix %.1fM acc/s, hash replica %.1fM acc/s, "
-                "speedup %.2fx\n",
-                w.radixTlbPerSec / 1e6, 100.0 * w.tlbHitRate,
-                w.radixPerSec / 1e6, w.legacyHashPerSec / 1e6,
-                w.speedupVsLegacy);
+    double inline_eps = dispatchEventsPerSec(dispatch_events);
+    std::printf("  dispatch: %.3fM ev/s\n", inline_eps / 1e6);
 
     SweepScaling s = sweepScalingBench(quick);
     std::printf("  sweep: %llu configs, serial %.2fs, %u jobs %.2fs, "
@@ -700,14 +396,6 @@ main(int argc, char **argv)
     std::printf("  end-to-end: %.0f faults/s, %.3fM ev/s, %.0f wall-ns "
                 "per sim-ms\n",
                 e.faultsPerSec, e.eventsPerSec / 1e6, e.wallNsPerSimMs);
-
-    BatchedAccess ba = batchedAccessBench(quick);
-    std::printf("  batched access: %.0f faults/s (%.2fM acc/s), scalar "
-                "%.0f faults/s, speedup %.2fx%s\n",
-                ba.batched.faultsPerSec,
-                ba.batched.accessesPerSec / 1e6,
-                ba.scalar.faultsPerSec, ba.speedupVsScalar,
-                ba.identicalResults ? "" : " [RESULTS DIVERGE!]");
 
     TraceReplay tr = traceReplayBench(quick);
     std::printf("  trace replay: %llu-cell sweep %.2fM rec/s (live "
@@ -738,26 +426,7 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"event_dispatch\": {\n");
     std::fprintf(f, "    \"events_per_trial\": %llu,\n",
                  (unsigned long long)dispatch_events);
-    std::fprintf(f, "    \"inline_events_per_sec\": %.0f,\n",
-                 inline_eps);
-    std::fprintf(f, "    \"legacy_baseline_events_per_sec\": %.0f,\n",
-                 legacy_eps);
-    std::fprintf(f, "    \"speedup_vs_legacy\": %.3f\n", speedup);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"page_walk\": {\n");
-    std::fprintf(f, "    \"resident_pages\": %llu,\n",
-                 (unsigned long long)w.residentPages);
-    std::fprintf(f, "    \"stream_length\": %llu,\n",
-                 (unsigned long long)w.streamLength);
-    std::fprintf(f, "    \"legacy_hash_accesses_per_sec\": %.0f,\n",
-                 w.legacyHashPerSec);
-    std::fprintf(f, "    \"radix_accesses_per_sec\": %.0f,\n",
-                 w.radixPerSec);
-    std::fprintf(f, "    \"radix_tlb_accesses_per_sec\": %.0f,\n",
-                 w.radixTlbPerSec);
-    std::fprintf(f, "    \"tlb_hit_rate\": %.4f,\n", w.tlbHitRate);
-    std::fprintf(f, "    \"speedup_vs_legacy_hash\": %.3f\n",
-                 w.speedupVsLegacy);
+    std::fprintf(f, "    \"inline_events_per_sec\": %.0f\n", inline_eps);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"sweep_scaling\": {\n");
     std::fprintf(f, "    \"configs\": %llu,\n",
@@ -783,24 +452,6 @@ main(int argc, char **argv)
     std::fprintf(f, "    \"events_per_sec\": %.0f,\n", e.eventsPerSec);
     std::fprintf(f, "    \"wall_ns_per_sim_ms\": %.0f\n",
                  e.wallNsPerSimMs);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"batched_access\": {\n");
-    std::fprintf(f, "    \"workload\": \"microbench\",\n");
-    std::fprintf(f, "    \"local_mem_ratio\": 0.5,\n");
-    std::fprintf(f, "    \"accesses\": %llu,\n",
-                 (unsigned long long)ba.batched.accesses);
-    std::fprintf(f, "    \"faults\": %llu,\n",
-                 (unsigned long long)ba.batched.faults);
-    std::fprintf(f, "    \"faults_per_sec\": %.0f,\n",
-                 ba.batched.faultsPerSec);
-    std::fprintf(f, "    \"accesses_per_sec\": %.0f,\n",
-                 ba.batched.accessesPerSec);
-    std::fprintf(f, "    \"scalar_faults_per_sec\": %.0f,\n",
-                 ba.scalar.faultsPerSec);
-    std::fprintf(f, "    \"speedup_vs_scalar\": %.3f,\n",
-                 ba.speedupVsScalar);
-    std::fprintf(f, "    \"identical_results\": %s\n",
-                 ba.identicalResults ? "true" : "false");
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"trace_replay\": {\n");
     std::fprintf(f, "    \"workload\": \"microbench\",\n");
@@ -851,5 +502,11 @@ main(int argc, char **argv)
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("  wrote %s\n", out.c_str());
+    if (!s.deterministic || !tr.identicalResults) {
+        std::fprintf(stderr, "bench_simcore: self-check failed (see "
+                             "sweep_scaling.deterministic and "
+                             "trace_replay.identical_results)\n");
+        return 1;
+    }
     return 0;
 }

@@ -6,8 +6,8 @@
  * The flight recorder (tracer.hh) observes *simulated* time; this
  * profiler observes where *host* wall time goes while producing it —
  * workload generation vs `Vms::access` vs the radix walk vs the LLC
- * vs event dispatch — which is exactly the breakdown the batched
- * access-stream work (ROADMAP item 3) needs to be steered by data.
+ * vs event dispatch — the breakdown that host-speed work on the
+ * access path needs to be steered by data.
  *
  * Model
  *  - A fixed `Zone` enum names the instrumented regions; `HOPP_PROF`

@@ -301,63 +301,33 @@ Machine::pump()
         // access, so even a per-segment function call shows up in the
         // wall time.
         Thread &t = *threads_[best];
-        vm::Tlb *tlb = cfg_.tlb ? &t.tlb : nullptr;
-        if (cfg_.batch) {
-            if (t.blockPos == t.blockLen) {
-                {
-                    HOPP_PROF(WorkloadGen);
-                    t.blockLen =
-                        t.gen->nextBatch(t.block.data(), t.block.size());
-                }
-                t.blockPos = 0;
-                if (t.blockLen == 0) {
-                    // Empty refill is end-of-stream (nextBatch
-                    // contract).
-                    t.done = true;
-                    t.completion = t.now;
-                }
-                continue;
+        if (t.blockPos == t.blockLen) {
+            {
+                HOPP_PROF(WorkloadGen);
+                t.blockLen =
+                    t.gen->nextBatch(t.block.data(), t.block.size());
             }
-            std::size_t consumed = 0;
-            t.now = vms_->accessBatch(t.pid, t.block.data() + t.blockPos,
-                                      t.blockLen - t.blockPos, t.now,
-                                      limit, &consumed, tlb);
-            t.blockPos += consumed;
-            t.accesses += consumed;
-            if (t.blockPos == t.blockLen && t.blockLen < t.block.size()) {
-                // The refill came back short, so this drained the last
-                // buffered access: the stream is over. (A full final
-                // block is caught by the empty refill above — same
-                // completion time either way, since discovery performs
-                // no access.)
+            t.blockPos = 0;
+            if (t.blockLen == 0) {
+                // Empty refill is end-of-stream (nextBatch contract).
                 t.done = true;
                 t.completion = t.now;
             }
-        } else {
-            // Scalar reference pump: per-access next() + access() with
-            // the very same yield checks accessBatch applies, so batch
-            // on and off are byte-identical by construction (the
-            // --no-batch cross-check test).
-            unsigned budget = cfg_.quantum;
-            workloads::Access a;
-            while (budget-- > 0) {
-                {
-                    HOPP_PROF(WorkloadGen);
-                    if (!t.gen->next(a)) {
-                        t.done = true;
-                        t.completion = t.now;
-                        break;
-                    }
-                }
-                {
-                    HOPP_PROF(VmsAccess);
-                    t.now +=
-                        vms_->access(t.pid, a.va, a.write, t.now, tlb);
-                }
-                ++t.accesses;
-                if (t.now >= limit || t.now >= eq_.nextTime())
-                    break;
-            }
+            continue;
+        }
+        std::size_t consumed = 0;
+        t.now = vms_->accessBatch(t.pid, t.block.data() + t.blockPos,
+                                  t.blockLen - t.blockPos, t.now, limit,
+                                  &consumed, cfg_.tlb ? &t.tlb : nullptr);
+        t.blockPos += consumed;
+        t.accesses += consumed;
+        if (t.blockPos == t.blockLen && t.blockLen < t.block.size()) {
+            // The refill came back short, so this drained the last
+            // buffered access: the stream is over. (A full final block
+            // is caught by the empty refill above — same completion
+            // time either way, since discovery performs no access.)
+            t.done = true;
+            t.completion = t.now;
         }
     }
 }

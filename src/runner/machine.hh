@@ -82,16 +82,6 @@ struct MachineConfig
     unsigned quantum = 512;
 
     /**
-     * Batched access pump: fill a per-thread block with one
-     * AccessGenerator::nextBatch call and drain it through
-     * Vms::accessBatch. Host-side execution strategy only — batch on
-     * and off produce byte-identical simulation results (the
-     * --no-batch cross-check test relies on that); turn it off to
-     * bisect a suspected batching bug at scalar speed.
-     */
-    bool batch = true;
-
-    /**
      * Per-thread software TLB caching VPN -> PageInfo* for resident
      * pages (vm/tlb.hh). Host-side accelerator only: results are
      * bit-identical with it off (the cross-check test relies on that);
@@ -266,7 +256,7 @@ class Machine
         /// here (threads are unique_ptr-stable) so its address can sit
         /// in the VMS hook list for the machine's lifetime.
         vm::Tlb tlb;
-        /// Access block the batched pump fills and drains; sized to
+        /// Access block the pump fills and drains; sized to
         /// cfg_.quantum once in build() so the steady-state loop never
         /// allocates.
         std::vector<workloads::Access> block;

@@ -149,17 +149,17 @@ class Vms
     }
 
     /**
-     * Drain a block of accesses: the batched pump's inner loop
-     * (ROADMAP item 3). Semantically a sequence of access() calls
-     * threading the issuing thread's local time through, with the
-     * pre-batching per-access yield check kept intact: the drain stops
-     * as soon as the thread's time reaches @p stopAt (the next other
-     * thread's local time) or the earliest pending event, whichever
-     * comes first — both are single inline compares, so the whole
-     * resident chain (TLB probe, accessed-bit update, LLC tag probe)
-     * still runs back to back with no event-queue round trip. Because
-     * the yield points are identical to the scalar pump's, batch on
-     * and off stay byte-identical (the --no-batch cross-check test).
+     * Drain a block of accesses: the Machine pump's inner loop.
+     * Semantically a sequence of access() calls threading the issuing
+     * thread's local time through, with a per-access yield check: the
+     * drain stops as soon as the thread's time reaches @p stopAt (the
+     * next other thread's local time) or the earliest pending event,
+     * whichever comes first — both are single inline compares, so the
+     * whole resident chain (TLB probe, accessed-bit update, LLC tag
+     * probe) still runs back to back with no event-queue round trip.
+     * Yielding per access rather than per block keeps prefetch fills
+     * on time (DESIGN.md §14); the AccessBatchMatchesScalarLoop test
+     * holds this equal to the same access() loop written out.
      *
      * @tparam AccessT any record with `.va` and `.write` members
      *         (workloads::Access; a template so the vm layer needs no

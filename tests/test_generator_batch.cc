@@ -5,8 +5,8 @@
  * (randomized) block sizes must reproduce the exact access sequence
  * that repeated next() calls produce — including partial final blocks,
  * LimitGen truncation mid-block, and InterleaveGen sub-stream
- * exhaustion mid-burst. The batched Machine pump and the --no-batch
- * byte-identity test both stand on this equivalence.
+ * exhaustion mid-burst. The Machine pump drains every thread through
+ * nextBatch, so a run's access stream stands on this equivalence.
  */
 
 #include <gtest/gtest.h>

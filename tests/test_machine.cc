@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "runner/machine.hh"
+#include "runner/stats_report.hh"
 
 using namespace hopp;
 using namespace hopp::runner;
@@ -152,50 +153,41 @@ TEST(Machine, DeterministicAcrossRuns)
     EXPECT_DOUBLE_EQ(a.accuracy, b.accuracy);
 }
 
-TEST(Machine, CounterConservationAcrossTlbAndBatchModes)
+TEST(Machine, TlbOnOffIdenticalOnEveryWorkload)
 {
-    // Every access resolves to exactly one LLC hit or miss, and the
-    // fault classes can never outnumber the accesses — with the TLB
-    // and the batched pump in any combination. All four combinations
-    // must also agree on every counter (the host-side fast paths are
-    // accelerators, not models).
-    std::vector<vm::VmsStats> runs;
-    std::vector<Tick> makespans;
-    for (bool tlb : {true, false}) {
-        for (bool batch : {true, false}) {
-            MachineConfig base;
-            base.tlb = tlb;
-            base.batch = batch;
-            auto r =
-                runOne("kmeans-omp", SystemKind::Hopp, 0.5, tiny(), base);
-            const vm::VmsStats &v = r.vms;
-            EXPECT_EQ(v.accesses, v.llcHits + v.llcMisses)
-                << "tlb=" << tlb << " batch=" << batch;
-            EXPECT_LE(v.faults(), v.accesses)
-                << "tlb=" << tlb << " batch=" << batch;
-            EXPECT_GT(v.accesses, 0u);
-            runs.push_back(v);
-            makespans.push_back(r.makespan);
+    // The software TLB is an accelerator, not a model: on every
+    // workload under every main system, turning it off must leave the
+    // stats document byte-identical and the makespan unchanged. Every
+    // access resolves to exactly one LLC hit or miss, and the fault
+    // classes can never outnumber the accesses.
+    std::vector<std::string> names = workloads::allWorkloadNames();
+    names.push_back("microbench");
+    names.push_back("linkedlist");
+    ASSERT_EQ(names.size(), 16u);
+    for (const auto &name : names) {
+        for (auto sys :
+             {SystemKind::Hopp, SystemKind::Fastswap, SystemKind::Leap}) {
+            SCOPED_TRACE(name + " / " + systemName(sys));
+            std::string stats[2];
+            Tick makespan[2];
+            for (bool tlb : {false, true}) {
+                MachineConfig cfg;
+                cfg.system = sys;
+                cfg.tlb = tlb;
+                Machine m(cfg);
+                m.addWorkload(workloads::makeWorkload(name, tiny()));
+                RunResult r = m.run();
+                const vm::VmsStats &v = r.vms;
+                EXPECT_EQ(v.accesses, v.llcHits + v.llcMisses)
+                    << "tlb=" << tlb;
+                EXPECT_LE(v.faults(), v.accesses) << "tlb=" << tlb;
+                EXPECT_GT(v.accesses, 0u);
+                stats[tlb] = statsJson(m);
+                makespan[tlb] = r.makespan;
+            }
+            EXPECT_EQ(stats[false], stats[true]);
+            EXPECT_EQ(makespan[false], makespan[true]);
         }
-    }
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-        EXPECT_EQ(runs[0].accesses, runs[i].accesses) << "combo " << i;
-        EXPECT_EQ(runs[0].llcHits, runs[i].llcHits) << "combo " << i;
-        EXPECT_EQ(runs[0].llcMisses, runs[i].llcMisses) << "combo " << i;
-        EXPECT_EQ(runs[0].coldFaults, runs[i].coldFaults)
-            << "combo " << i;
-        EXPECT_EQ(runs[0].remoteFaults, runs[i].remoteFaults)
-            << "combo " << i;
-        EXPECT_EQ(runs[0].swapCacheHits, runs[i].swapCacheHits)
-            << "combo " << i;
-        EXPECT_EQ(runs[0].inflightWaits, runs[i].inflightWaits)
-            << "combo " << i;
-        EXPECT_EQ(runs[0].injectedHits, runs[i].injectedHits)
-            << "combo " << i;
-        EXPECT_EQ(runs[0].evictions, runs[i].evictions) << "combo " << i;
-        EXPECT_EQ(runs[0].writebacks, runs[i].writebacks)
-            << "combo " << i;
-        EXPECT_EQ(makespans[0], makespans[i]) << "combo " << i;
     }
 }
 

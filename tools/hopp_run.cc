@@ -19,6 +19,7 @@
  *   hopp-run --list
  */
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -60,8 +61,6 @@ usage(const char *argv0)
         "  --eviction-advisor  enable trace-informed reclaim advice\n"
         "  --no-tlb            disable the host-side software TLB (the"
         " output must not change)\n"
-        "  --no-batch          drive accesses one at a time instead of"
-        " in blocks (the output must not change)\n"
         "  --check N           run the invariant validators every N"
         " events (0 = off)\n"
         "  --seed N            workload seed (default 42)\n"
@@ -215,8 +214,6 @@ main(int argc, char **argv)
             cfg.hopp.evictionAdvisor = true;
         } else if (arg == "--no-tlb") {
             cfg.tlb = false;
-        } else if (arg == "--no-batch") {
-            cfg.batch = false;
         } else if (arg == "--check") {
             cfg.checkInterval =
                 static_cast<std::uint64_t>(std::atoll(need(i)));
@@ -262,6 +259,20 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    // Reject out-of-range values here: past this point they surface as
+    // an uncaught exception, a deep assertion or a degenerate run.
+    auto reject = [](const char *why) {
+        std::fprintf(stderr, "hopp-run: %s\n", why);
+        return 2;
+    };
+    if (!(cfg.localMemRatio > 0.0 && cfg.localMemRatio <= 1.0))
+        return reject("--ratio must be in (0, 1]");
+    if (!(scale.footprint > 0.0))
+        return reject("--scale must be > 0");
+    if (!(scale.iterations > 0.0))
+        return reject("--iterations must be > 0");
+    if (!std::has_single_bit(cfg.hopp.channels))
+        return reject("--channels must be a power of two (1, 2, 4, ...)");
     if (workload_names.empty())
         workload_names.push_back("kmeans-omp");
     if (!trace_out.empty() || !trace_jsonl.empty())
