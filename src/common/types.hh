@@ -31,15 +31,15 @@
  * plain std::uint64_t: they are dimensionless deltas, and tagging them
  * too would force arithmetic noise everywhere for little protection.
  *
- * Escape hatch: .raw() yields the underlying integer. hopp_lint flags
+ * Escape hatch: .raw() yields the underlying integer. hopp_analyze flags
  * every use outside designated boundary files (trace I/O, stats
  * reporting, hardware tag packing) unless annotated with
- * `hopp-lint: allow(raw)` and a justification.
+ * `hopp-analyze: allow(raw)` and a justification.
  *
  * This file is the definition site: the operators, geometry helpers,
  * and hash specializations below are the single implementation of the
  * tagged types, so unwrapping here is inherent.
- * hopp-lint: allow-file(raw)
+ * hopp-analyze: allow-file(raw)
  */
 
 #pragma once
@@ -76,7 +76,7 @@ class TaggedU64
 
     /**
      * The underlying integer. Boundary use only (serialisation, stats,
-     * hardware tag packing); hopp_lint enforces the annotation rule.
+     * hardware tag packing); hopp_analyze enforces the annotation rule.
      */
     constexpr std::uint64_t raw() const { return v_; }
 
@@ -240,7 +240,7 @@ inline constexpr unsigned lineShift = 6;
 inline constexpr Bytes lineBytes = 1ull << lineShift;
 
 /** Cachelines per 4 KB page (64) — a count, not an address. */
-inline constexpr std::uint64_t linesPerPage = // hopp-lint: allow(raw-int-addr)
+inline constexpr std::uint64_t linesPerPage = // hopp-analyze: allow(raw-int-addr)
     pageBytes / lineBytes;
 
 namespace time_literals
@@ -273,7 +273,7 @@ inline constexpr Duration operator""_s(unsigned long long v)
 } // namespace time_literals
 
 // The page/line geometry helpers below are the ONE place byte
-// addresses are shifted into page/line space and back; hopp_lint
+// addresses are shifted into page/line space and back; hopp_analyze
 // rejects manual pageShift arithmetic anywhere else.
 
 /** Convert a physical byte address to its page number. */
@@ -372,7 +372,7 @@ template <typename Tag>
 constexpr double
 toDouble(TaggedU64<Tag> v)
 {
-    return static_cast<double>(v.raw()); // hopp-lint: allow(raw)
+    return static_cast<double>(v.raw()); // hopp-analyze: allow(raw)
 }
 
 // The wrappers must be free: same size/alignment as the raw integer,

@@ -81,7 +81,7 @@ HotPagePipeline::channelOf(PhysAddr pa) const
     // Channel steering hashes the line/frame number's low bits.
     std::uint64_t unit = cfg_.channelInterleaved
                              ? lineOf(pa)
-                             : pageOf(pa).raw(); // hopp-lint: allow(raw)
+                             : pageOf(pa).raw(); // hopp-analyze: allow(raw)
     return static_cast<unsigned>(unit & (cfg_.channels - 1));
 }
 

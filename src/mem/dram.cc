@@ -30,11 +30,11 @@ Dram::allocate()
 void
 Dram::release(Ppn ppn)
 {
-    // Diagnostic formatting of the frame number. hopp-lint: allow(raw)
+    // Diagnostic formatting of the frame number. hopp-analyze: allow(raw)
     hopp_assert(ppn >= base_ && ppn < base_ + total_,
                 "release of foreign frame %llu",
                 static_cast<unsigned long long>(ppn.raw()));
-    // Diagnostic formatting of the frame number. hopp-lint: allow(raw)
+    // Diagnostic formatting of the frame number. hopp-analyze: allow(raw)
     hopp_assert(allocated_[ppn - base_], "double free of frame %llu",
                 static_cast<unsigned long long>(ppn.raw()));
     allocated_[ppn - base_] = false;

@@ -25,7 +25,7 @@ Llc::Llc(const LlcConfig &cfg) : tags_(setsFor(cfg), cfg.ways) {}
 void
 Llc::invalidatePage(Ppn ppn)
 {
-    // Frame number as dense per-frame vector index. hopp-lint: allow(raw)
+    // Frame number as a dense per-frame index. hopp-analyze: allow(raw)
     std::uint64_t frame = ppn.raw();
     if (frame >= epochs_.size())
         // Dense per-frame epoch vector grows monotonically to the peak

@@ -107,7 +107,7 @@ class Llc
     std::uint64_t
     taggedLine(PhysAddr pa) const
     {
-        // Frame number as dense per-frame vector index. hopp-lint: allow(raw)
+        // Frame number as a dense per-frame index. hopp-analyze: allow(raw)
         std::uint64_t frame = pageOf(pa).raw();
         std::uint32_t epoch = frame < epochs_.size() ? epochs_[frame] : 0;
         // The set index comes from the low line-address bits; the epoch

@@ -187,7 +187,7 @@ class BlackBox
         for (std::size_t i = 0; i < n; ++i) {
             const BlackBoxEvent &e = *order[i];
             // Unit-change boundary: ticks leave the tagged domain
-            // for the trace file. hopp-lint: allow(raw, raw-int-addr)
+            // for the trace file. hopp-analyze: allow(raw, raw-int-addr)
             const unsigned long long tick = e.ts.raw();
             std::snprintf(
                 buf, sizeof buf,

@@ -54,7 +54,7 @@ appendEvent(std::string &out, const TraceEvent &e)
     out += e.ph;
     out += "\",\"ts\":";
     // Unit-change boundary: ticks leave the tagged domain here.
-    appendMicros(out, e.ts.raw()); // hopp-lint: allow(raw)
+    appendMicros(out, e.ts.raw()); // hopp-analyze: allow(raw)
     if (e.ph == 'X') {
         out += ",\"dur\":";
         appendMicros(out, e.dur);

@@ -17,7 +17,7 @@
  *
  * All timestamps are simulator ticks (ns since simulation start) —
  * never wall-clock time — so traces are byte-deterministic across
- * runs; `hopp_lint` bans std::chrono in src/obs to keep it that way.
+ * runs; `hopp_analyze` bans std::chrono in src/obs to keep it that way.
  *
  * Zero-cost-when-disabled: components hold a `Tracer*` that defaults
  * to nullptr and test it inline before every record call; the Tracer
@@ -59,7 +59,7 @@ inline constexpr std::uint32_t kswapd = 60005; //!< background reclaim
 inline std::uint32_t
 ofPid(Pid pid)
 {
-    // Track-id packing for the trace file. hopp-lint: allow(raw)
+    // Track-id packing for the trace file. hopp-analyze: allow(raw)
     return pid.raw();
 }
 } // namespace track

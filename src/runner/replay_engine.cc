@@ -156,7 +156,7 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
       case trace::ReplayKind::Mc: {
         ++mcAccesses_;
         if (!r.isWrite) {
-            const std::uint64_t *key = shadow_.find(pageOf(r.pa).raw()); // hopp-lint: allow(raw) map key
+            const std::uint64_t *key = shadow_.find(pageOf(r.pa).raw()); // hopp-analyze: allow(raw) map key
             if (key)
                 oracleDemand(vm::keyPid(*key), vm::keyVpn(*key),
                              r.tick);
@@ -174,18 +174,18 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
             r.ppn, core::RptEntry{r.pid, r.vpn, r.shared,
                                   static_cast<std::uint8_t>(
                                       r.huge ? 1 : 0)});
-        shadow_[r.ppn.raw()] = vm::pageKey(r.pid, r.vpn); // hopp-lint: allow(raw) map key
+        shadow_[r.ppn.raw()] = vm::pageKey(r.pid, r.vpn); // hopp-analyze: allow(raw) map key
         break;
       case trace::ReplayKind::PteSet:
         ++pteEvents_;
         pipeline_.onPteSet(r.pid, r.vpn, r.ppn, r.shared, r.huge,
                            r.tick);
-        shadow_[r.ppn.raw()] = vm::pageKey(r.pid, r.vpn); // hopp-lint: allow(raw) map key
+        shadow_[r.ppn.raw()] = vm::pageKey(r.pid, r.vpn); // hopp-analyze: allow(raw) map key
         break;
       case trace::ReplayKind::PteClear:
         ++pteEvents_;
         pipeline_.onPteClear(r.pid, r.vpn, r.ppn, r.tick);
-        shadow_.erase(r.ppn.raw()); // hopp-lint: allow(raw) map key
+        shadow_.erase(r.ppn.raw()); // hopp-analyze: allow(raw) map key
         break;
     }
     ++records_;
@@ -252,7 +252,7 @@ ReplayEngine::oracleJson(std::size_t cell) const
     put("replay_records", result.records);
     put("replay_mc_accesses", result.mcAccesses);
     put("replay_pte_events", result.pteEvents);
-    put("replay_last_tick", result.lastTick.raw()); // hopp-lint: allow(raw) stats boundary
+    put("replay_last_tick", result.lastTick.raw()); // hopp-analyze: allow(raw) stats boundary
     put("oracle_requested", result.requested);
     put("oracle_used", result.used);
     put("oracle_late", result.late);

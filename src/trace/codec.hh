@@ -30,7 +30,7 @@
  *
  * Packing addresses/ticks into wire integers is this file's purpose,
  * and the delta baselines live in that raw wire space by design.
- * hopp-lint: allow-file(raw, page-shift, raw-int-addr)
+ * hopp-analyze: allow-file(raw, page-shift, raw-int-addr)
  */
 
 #pragma once

@@ -51,7 +51,7 @@ class Hmtt : public mem::McObserver
     {
         HmttRecord r;
         r.seq = seq_++;
-        // Wrapping 8-bit wire timestamp quantisation. hopp-lint: allow(raw)
+        // Wrapping 8-bit wire timestamp quantisation. hopp-analyze: allow(raw)
         r.timestamp =
             static_cast<std::uint8_t>(now.raw() / cfg_.timestampQuantum);
         r.isWrite = is_write;

@@ -1,5 +1,5 @@
 // Trace container framing is a designated raw boundary.
-// hopp-lint: allow-file(raw, page-shift)
+// hopp-analyze: allow-file(raw, page-shift)
 
 #include "trace/trace_file.hh"
 

@@ -1,5 +1,5 @@
 // Binary trace serialisation is a designated raw boundary.
-// hopp-lint: allow-file(raw, page-shift)
+// hopp-analyze: allow-file(raw, page-shift)
 
 #include "trace/trace_io.hh"
 

@@ -321,7 +321,7 @@ class Vms
     residentAccess(Pid pid, PageInfo &pi, VirtAddr va, bool is_write,
                    Tick now)
     {
-        // Diagnostic formatting of pid/vpn. hopp-lint: allow(raw)
+        // Diagnostic formatting of pid/vpn. hopp-analyze: allow(raw)
         HOPP_DCHECK(pi.state == PageState::Resident,
                     "data-path access to page %u:%llu in state %u",
                     pid.raw(), (unsigned long long)pageOf(va).raw(),

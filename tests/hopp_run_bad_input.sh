@@ -1,33 +1,75 @@
 #!/bin/sh
-# Boundary validation of hopp-run's numeric flags. Every bad input must
-# exit with status exactly 2 and print one stderr line naming the flag;
-# the in-range edge (--ratio 1) must still run.
+# Boundary validation of the numeric flags hopp-run, hopp-sweep and
+# hopp-replay share. Every bad input must exit with status exactly 2
+# and print one stderr line naming the flag; the in-range edges
+# (--ratio 1, --channels 2) must still run.
 #
-# usage: sh tests/hopp_run_bad_input.sh path/to/hopp-run
+# usage: sh tests/hopp_run_bad_input.sh HOPP_RUN HOPP_SWEEP HOPP_REPLAY
 run=$1
+sweep=$2
+replay=$3
 fail=0
-for args in "--ratio -1" "--ratio 0" "--ratio 1.5" "--ratio nan" \
-            "--scale 0" "--scale -2" "--iterations 0" "--iterations -1" \
-            "--channels 0" "--channels 3" "--channels 6"; do
-    flag=${args%% *}
-    # Small defaults first, so a missing check runs fast instead of
-    # simulating the full-size workload; the bad flag overrides them.
-    err=$("$run" --workload microbench --scale 0.05 --iterations 0.1 \
-          $args 2>&1 >/dev/null)
+tmp=$(mktemp -d bad_input.XXXXXX)
+trap 'rm -rf "$tmp"' EXIT
+
+# Small defaults first, so a missing check runs fast instead of
+# simulating the full-size workload; the bad flag overrides them.
+small="--workload microbench --scale 0.05 --iterations 0.1"
+
+# expect_reject TOOL ARGS...: the last two ARGS are the bad flag and
+# its value.
+expect_reject() {
+    tool=$1
+    shift
+    eval "flag=\${$(($# - 1))}"
+    err=$("$tool" "$@" 2>&1 >/dev/null)
     status=$?
     if [ "$status" -ne 2 ]; then
-        echo "FAIL: hopp-run $args exited $status, want 2"
+        echo "FAIL: $(basename "$tool") $*: exited $status, want 2"
         fail=1
     elif [ "$(printf '%s\n' "$err" | wc -l)" -ne 1 ] ||
          ! printf '%s' "$err" | grep -q -- "$flag"; then
-        echo "FAIL: hopp-run $args: want one stderr line naming $flag," \
-             "got: $err"
+        echo "FAIL: $(basename "$tool") $*: want one stderr line" \
+             "naming $flag, got: $err"
         fail=1
     fi
+}
+
+for args in "--ratio -1" "--ratio 0" "--ratio 1.5" "--ratio nan" \
+            "--scale 0" "--scale -2" "--iterations 0" "--iterations -1"; do
+    # shellcheck disable=SC2086
+    expect_reject "$run" $small $args
+    # shellcheck disable=SC2086
+    expect_reject "$sweep" $small --out "$tmp/sweep.json" $args
 done
-if ! "$run" --workload microbench --ratio 1 --scale 0.05 \
-        --iterations 0.1 >/dev/null; then
+for args in "--channels 0" "--channels 3" "--channels 6"; do
+    # shellcheck disable=SC2086
+    expect_reject "$run" $small $args
+done
+
+# hopp-replay needs a trace to get as far as its flag checks.
+# shellcheck disable=SC2086
+if ! "$run" $small --record-trace "$tmp/t.trc" >/dev/null; then
+    echo "FAIL: could not record a trace for hopp-replay"
+    exit 1
+fi
+for args in "--channels 0" "--channels 3" "--channels 6"; do
+    # shellcheck disable=SC2086
+    expect_reject "$replay" --trace "$tmp/t.trc" --out "$tmp/r.json" $args
+done
+
+# shellcheck disable=SC2086
+if ! "$run" $small --ratio 1 >/dev/null; then
     echo "FAIL: hopp-run --ratio 1 must be accepted"
+    fail=1
+fi
+# shellcheck disable=SC2086
+if ! "$sweep" $small --ratio 1 --out "$tmp/sweep.json"; then
+    echo "FAIL: hopp-sweep --ratio 1 must be accepted"
+    fail=1
+fi
+if ! "$replay" --trace "$tmp/t.trc" --channels 2 --out "$tmp/r.json"; then
+    echo "FAIL: hopp-replay --channels 2 must be accepted"
     fail=1
 fi
 exit $fail

@@ -7,9 +7,9 @@
  * parallelism is whole independent runs behind runner::SweepPool's
  * index-ordered API. This file sits under a runner/ path but is NOT a
  * sweep file, so every primitive below is a violation. Each line
- * carries a hopp-lint-expect marker; the self-test verifies the tool
- * reports exactly these, and the plain-run ctest asserts a nonzero
- * exit. The sibling sweep_clean.cc proves the runner/sweep* carve-out.
+ * carries a hopp-analyze-expect marker; the self-test verifies the
+ * analyzer reports exactly these. The sibling sweep_clean.cc proves
+ * the runner/sweep* carve-out.
  */
 
 #include <atomic>
@@ -19,20 +19,22 @@
 namespace hopp::runner
 {
 
-std::mutex badLock;              // hopp-lint-expect(thread-primitive)
-std::atomic<int> badCounter{0};  // hopp-lint-expect(thread-primitive)
+std::mutex badLock;              // hopp-analyze-expect(thread-primitive)
+std::atomic<int> badCounter{0};  // hopp-analyze-expect(thread-primitive)
+std::atomic_flag badFlag = ATOMIC_FLAG_INIT; // hopp-analyze-expect(thread-primitive)
 
 inline void
 racyHelper()
 {
-    std::lock_guard<std::mutex> lock(badLock); // hopp-lint-expect(thread-primitive)
-    std::thread t([] {});                      // hopp-lint-expect(thread-primitive)
+    std::lock_guard<std::mutex> lock(badLock); // hopp-analyze-expect(thread-primitive)
+    std::thread t([] {});                      // hopp-analyze-expect(thread-primitive)
+    std::atomic_thread_fence(std::memory_order_seq_cst); // hopp-analyze-expect(thread-primitive)
     t.join();
 }
 
 // Host-side glue far from simulated state may justify the escape
 // hatch, spelled exactly like the other rules':
-// hopp-lint: allow(thread-primitive)
+// hopp-analyze: allow(thread-primitive)
 std::atomic<bool> justifiedFlag{false};
 
 } // namespace hopp::runner

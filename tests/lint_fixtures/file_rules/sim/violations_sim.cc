@@ -5,9 +5,9 @@
  * (closures live in sim::InlineEvent's fixed inline storage), and a
  * type-erased heap closure on the schedule/dispatch path would
  * silently reintroduce a per-event allocation. Every violating line
- * carries a hopp-lint-expect marker; the self-test verifies the tool
- * reports exactly these, and the plain-run ctest asserts a nonzero
- * exit. The allow escape hatch is exercised at the bottom.
+ * carries a hopp-analyze-expect marker; the self-test verifies the
+ * analyzer reports exactly these. The allow escape hatch is exercised
+ * at the bottom.
  */
 
 #include <functional>
@@ -15,17 +15,17 @@
 namespace hopp::sim
 {
 
-using BadEventFn = std::function<void()>; // hopp-lint-expect(sim-std-function)
+using BadEventFn = std::function<void()>; // hopp-analyze-expect(sim-std-function)
 
 inline void
-scheduleLater(std::function<void()> fn) // hopp-lint-expect(sim-std-function)
+scheduleLater(std::function<void()> fn) // hopp-analyze-expect(sim-std-function)
 {
     fn();
 }
 
 // Cold-path glue outside the dispatch loop may justify the escape
 // hatch, spelled exactly like the other rules':
-// hopp-lint: allow(sim-std-function)
+// hopp-analyze: allow(sim-std-function)
 using ColdPathFn = std::function<void(int)>;
 
 } // namespace hopp::sim

@@ -38,19 +38,8 @@ SourceTree
 makeTree(const std::vector<std::pair<std::string, std::string>> &files)
 {
     SourceTree tree;
-    for (const auto &[rel, src] : files) {
-        TokenStream ts(src);
-        SourceFile f;
-        f.rel = rel;
-        std::size_t slash = rel.find('/');
-        f.module = slash == std::string::npos ? std::string()
-                                              : rel.substr(0, slash);
-        f.header = rel.size() > 3 &&
-                   rel.compare(rel.size() - 3, 3, ".hh") == 0;
-        f.code = ts.code();
-        f.directives = parseDirectives(ts.comments(), "hopp-analyze");
-        tree.files.push_back(std::move(f));
-    }
+    for (const auto &[rel, src] : files)
+        tree.files.push_back(lexFile(rel, src));
     return tree;
 }
 

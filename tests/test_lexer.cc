@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the shared analysis lexer (tools/analysis/lexer.hh)
- * and token-stream views — the foundation hopp_lint and hopp_analyze
- * stand on. The load-bearing property is full fidelity: every byte of
+ * and token-stream views — the foundation every hopp_analyze pass
+ * stands on. The load-bearing property is full fidelity: every byte of
  * the input lands in exactly one token, so reassembling the token
  * texts reproduces the file byte-for-byte. The edge cases here are the
  * ones that defeat line-regex scanning: raw strings containing comment
@@ -92,7 +92,7 @@ TEST(Lexer, StringContainingDirectiveSyntax)
     // A suppression directive spelled inside a string is a String
     // token, never a Comment — so it can't suppress anything.
     std::string src =
-        "auto s = \"hopp-lint: allow(raw)\"; // real comment\n";
+        "auto s = \"hopp-analyze: allow(raw)\"; // real comment\n";
     auto comments = tokensOf(src, TokKind::Comment);
     ASSERT_EQ(comments.size(), 1u);
     EXPECT_EQ(comments[0].text, "// real comment");
@@ -125,7 +125,7 @@ TEST(Lexer, DirectiveWithLineContinuation)
 
 TEST(Lexer, DirectiveEndsBeforeTrailingComment)
 {
-    std::string src = "#include \"mod/a.hh\" // hopp-lint: allow(x)\n";
+    std::string src = "#include \"mod/a.hh\" // hopp-analyze: allow(x)\n";
     auto pp = tokensOf(src, TokKind::PpDirective);
     ASSERT_EQ(pp.size(), 1u);
     EXPECT_EQ(pp[0].text.find("//"), std::string::npos);

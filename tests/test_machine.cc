@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/profiler.hh"
 #include "runner/machine.hh"
 #include "runner/stats_report.hh"
 
@@ -155,11 +156,23 @@ TEST(Machine, DeterministicAcrossRuns)
 
 TEST(Machine, TlbOnOffIdenticalOnEveryWorkload)
 {
-    // The software TLB is an accelerator, not a model: on every
-    // workload under every main system, turning it off must leave the
+    // The software TLB is an accelerator and the self-profiler a host
+    // observer, neither a model: on every workload under every main
+    // system, turning the TLB off or the profiler on must leave the
     // stats document byte-identical and the makespan unchanged. Every
     // access resolves to exactly one LLC hit or miss, and the fault
     // classes can never outnumber the accesses.
+    struct Mode
+    {
+        const char *name;
+        bool tlb, profile;
+    };
+    const Mode modes[] = {
+        {"baseline", true, false},
+        {"tlb off", false, false},
+        {"profiler on", true, true},
+    };
+    const bool profiling = obs::prof::enabled();
     std::vector<std::string> names = workloads::allWorkloadNames();
     names.push_back("microbench");
     names.push_back("linkedlist");
@@ -168,25 +181,29 @@ TEST(Machine, TlbOnOffIdenticalOnEveryWorkload)
         for (auto sys :
              {SystemKind::Hopp, SystemKind::Fastswap, SystemKind::Leap}) {
             SCOPED_TRACE(name + " / " + systemName(sys));
-            std::string stats[2];
-            Tick makespan[2];
-            for (bool tlb : {false, true}) {
+            std::string stats[3];
+            Tick makespan[3];
+            for (int k = 0; k < 3; ++k) {
+                obs::prof::enable(modes[k].profile);
                 MachineConfig cfg;
                 cfg.system = sys;
-                cfg.tlb = tlb;
+                cfg.tlb = modes[k].tlb;
                 Machine m(cfg);
                 m.addWorkload(workloads::makeWorkload(name, tiny()));
                 RunResult r = m.run();
+                obs::prof::enable(profiling);
                 const vm::VmsStats &v = r.vms;
                 EXPECT_EQ(v.accesses, v.llcHits + v.llcMisses)
-                    << "tlb=" << tlb;
-                EXPECT_LE(v.faults(), v.accesses) << "tlb=" << tlb;
+                    << modes[k].name;
+                EXPECT_LE(v.faults(), v.accesses) << modes[k].name;
                 EXPECT_GT(v.accesses, 0u);
-                stats[tlb] = statsJson(m);
-                makespan[tlb] = r.makespan;
+                stats[k] = statsJson(m);
+                makespan[k] = r.makespan;
             }
-            EXPECT_EQ(stats[false], stats[true]);
-            EXPECT_EQ(makespan[false], makespan[true]);
+            for (int k = 1; k < 3; ++k) {
+                EXPECT_EQ(stats[0], stats[k]) << modes[k].name;
+                EXPECT_EQ(makespan[0], makespan[k]) << modes[k].name;
+            }
         }
     }
 }

@@ -248,7 +248,7 @@ TEST(TraceCodec, RawFallbackPreservesHmttWireFieldsAcrossSeqWrap)
         EXPECT_EQ(in[i].seq, expect_seq++); // wraps at 256, 512
         EXPECT_EQ(out[i].kind, ReplayKind::Mc);
         EXPECT_EQ(out[i].isWrite, in[i].isWrite);
-        EXPECT_EQ(lineOf(out[i].pa), // hopp-lint: allow(raw) wire-field check
+        EXPECT_EQ(lineOf(out[i].pa), // hopp-analyze: allow(raw) wire-field check
                   static_cast<std::uint64_t>(in[i].addr29));
         EXPECT_EQ(out[i].tick, in[i].fullTime);
     }
@@ -413,7 +413,7 @@ TEST(ChampSim, ImportSynthesizesMappingsAndAccesses)
     auto recs = readAll(reader);
     ASSERT_EQ(recs.size(), 5u); // 2 PteSet + 3 Mc
     EXPECT_EQ(recs[0].kind, ReplayKind::PteSet);
-    EXPECT_EQ(recs[0].vpn.raw(), // hopp-lint: allow(raw) identity-map check
+    EXPECT_EQ(recs[0].vpn.raw(), // hopp-analyze: allow(raw) identity-map check
               recs[0].ppn.raw());
     // Loads convert before stores: PteSet+read, then PteSet+write.
     EXPECT_EQ(recs[1].kind, ReplayKind::Mc);

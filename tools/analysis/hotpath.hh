@@ -24,16 +24,21 @@
  *                                 (push_back & co) on a receiver with
  *                                 no reserve() call in scope
  *   func       hotpath-func       std::function construction
- *   clock      hotpath-clock      <chrono> clocks, clock_gettime,
- *                                 gettimeofday
- *   rng        hotpath-rng        host RNG (random_device, mt19937,
- *                                 rand) — hopp::Pcg32 is the blessed
- *                                 deterministic source
+ *   clock      hotpath-clock      std::chrono and its clocks, time(),
+ *                                 clock(), clock_gettime, gettimeofday
+ *   rng        hotpath-rng        host RNG (random_device, <random>
+ *                                 engines, rand & co) — hopp::Pcg32 is
+ *                                 the blessed deterministic source
  *   unordered  hotpath-unordered  iteration over unordered containers
  *                                 (host-hash ordering leaks into
  *                                 event order)
- *   thread     hotpath-thread     thread/mutex/lock primitives
+ *   thread     hotpath-thread     thread/mutex/atomic/lock/future
+ *                                 primitives
  *   io         hotpath-io         iostream/stdio on the hot path
+ *
+ * The clock, rng and thread families read the same name lists as the
+ * tree-wide wall-clock, raw-rand and thread-primitive rules
+ * (file_rules.hh: hazardAt), so the two passes cannot drift apart.
  *
  * Every diagnostic prints the complete root→sink call chain plus the
  * root's unresolved-call count (the honest-conservatism contract: a
@@ -58,6 +63,7 @@
 #include <vector>
 
 #include "analysis/call_graph.hh"
+#include "analysis/file_rules.hh"
 #include "analysis/model.hh"
 #include "analysis/symbols.hh"
 
@@ -239,7 +245,6 @@ collectSinks(const SymbolIndex &sym, const CallNode &node,
         const std::string next =
             i + 1 < body.size() ? body[i + 1].text : "";
         bool called = next == "(";
-        bool stdQual = i >= 1 && body[i - 1].text == ":";
 
         // --- alloc ---------------------------------------------------
         if (want("alloc")) {
@@ -304,24 +309,24 @@ collectSinks(const SymbolIndex &sym, const CallNode &node,
             continue;
         }
 
-        // --- clock ---------------------------------------------------
-        if (want("clock") &&
-            (x == "chrono" || x == "steady_clock" ||
-             x == "system_clock" || x == "high_resolution_clock" ||
-             ((x == "clock_gettime" || x == "gettimeofday") &&
-              called))) {
+        // --- clock / rng / thread: the tree-wide rules' name lists --
+        std::string name =
+            want("clock") ? hazardAt(body, i, Hazard::Clock) : "";
+        if (!name.empty()) {
             sinks.push_back({"clock", body[i].line,
-                             "wall-clock access via '" + x + "'"});
+                             "wall-clock access via '" + name + "'"});
             continue;
         }
-
-        // --- rng -----------------------------------------------------
-        if (want("rng") &&
-            (x == "random_device" || x == "mt19937" ||
-             x == "mt19937_64" || x == "drand48" || x == "lrand48" ||
-             ((x == "rand" || x == "srand") && called))) {
+        name = want("rng") ? hazardAt(body, i, Hazard::Rng) : "";
+        if (!name.empty()) {
             sinks.push_back({"rng", body[i].line,
-                             "host RNG via '" + x + "'"});
+                             "host RNG via '" + name + "'"});
+            continue;
+        }
+        name = want("thread") ? hazardAt(body, i, Hazard::Thread) : "";
+        if (!name.empty()) {
+            sinks.push_back({"thread", body[i].line,
+                             "thread primitive 'std::" + name + "'"});
             continue;
         }
 
@@ -361,17 +366,6 @@ collectSinks(const SymbolIndex &sym, const CallNode &node,
                     }
                 }
             }
-        }
-
-        // --- thread --------------------------------------------------
-        if (want("thread") &&
-            (x == "thread" || x == "mutex" || x == "shared_mutex" ||
-             x == "lock_guard" || x == "unique_lock" ||
-             x == "scoped_lock" || x == "condition_variable") &&
-            (stdQual || next == "<")) {
-            sinks.push_back({"thread", body[i].line,
-                             "thread primitive 'std::" + x + "'"});
-            continue;
         }
 
         // --- io ------------------------------------------------------
@@ -424,7 +418,8 @@ hotpathPass(SourceTree &tree, const SymbolIndex &sym,
                 {conf.file, conf_line, "hotpath-root",
                  "root '" + spec +
                      "' matches no function in the tree — renamed "
-                     "hot loop? fix hotpaths.conf or the code"});
+                     "hot loop? fix hotpaths.conf or the code",
+                 ""});
             continue;
         }
         ++summary.matchedRoots;

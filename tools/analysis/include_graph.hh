@@ -4,8 +4,8 @@
  * and include-cycle detection.
  *
  * The architecture contract lives in a declared layer DAG
- * (tools/analysis/layers.conf for src/). Format, one declaration per
- * line, '#' comments:
+ * (tools/analysis/layers.conf for src/ and tools/). Format, one
+ * declaration per line, '#' comments:
  *
  *   layer <module> [<module>...]   layers are declared bottom-up; a
  *                                  file may include its own layer and
@@ -128,7 +128,7 @@ includeGraphPass(SourceTree &tree, const LayerConfig &cfg)
     std::vector<Edge> edges;
     std::map<std::string, std::size_t> byRel;
     for (std::size_t i = 0; i < tree.files.size(); ++i)
-        byRel[tree.files[i].rel] = i;
+        byRel.emplace(tree.files[i].rel, i); // first root wins
 
     for (std::size_t i = 0; i < tree.files.size(); ++i) {
         SourceFile &f = tree.files[i];

@@ -2,21 +2,27 @@
  * @file
  * Source model shared by the hopp_analyze passes.
  *
- * hopp_analyze is a cross-translation-unit analyzer: every pass needs
- * the same view of the tree (all files lexed once, module = first path
- * component under the analyzed root) and the same diagnostic plumbing
- * (suppression comments, expect markers for the self-test). This
- * header provides both; the passes live in include_graph.hh and
- * stat_reset.hh.
+ * Every pass needs the same view of the tree (all files lexed once,
+ * module = first path component under the root a file was found in)
+ * and the same diagnostic plumbing (suppression comments, expect
+ * markers for the self-test). This header provides both; the passes
+ * live in file_rules.hh, include_graph.hh, stat_reset.hh and
+ * hotpath.hh.
  *
- * Suppression mirrors hopp_lint's syntax under the tool's own prefix:
+ * Several roots load as one tree, like an include path: `src tools`
+ * gives `vm/vms.cc` and `analysis/model.hh` side by side, and a quote
+ * include resolves against the first root that has the file.
  *
- *   // hopp-analyze: allow(<rule>[, <rule>...])   this or next line
- *   // hopp-analyze: allow-file(<rule>)           whole file
+ * Suppression, one syntax for every rule:
  *
- * with `*` as a wildcard, and `hopp-analyze-expect(<rule>)` markers
- * driving `--self-test`. Directives are parsed from comment tokens
- * only, so nothing inside a string literal can suppress a finding.
+ *   // hopp-analyze: allow(<rule>[, <rule>...])   this statement
+ *   // hopp-analyze: allow-file(<rule>[, ...])    whole file
+ *
+ * and `hopp-analyze-expect(<rule>)` markers drive `--self-test`. An
+ * allow covers its own line and the lines below it up to the end of
+ * the statement (see SourceFile::allows). Directives are parsed from
+ * comment tokens only, so nothing inside a string literal can suppress
+ * a finding.
  */
 
 #pragma once
@@ -37,14 +43,24 @@ namespace hopp::analysis
 
 struct Diag
 {
-    std::string file; //!< path as given (root-relative for tree scans)
+    std::string file; //!< root-relative path, or a config/file as given
     int line = 0;
     std::string rule;
     std::string message;
+    std::string root; //!< root `file` was found under, else ""
+
+    /** Path to print and annotate: `root/file`. */
+    std::string
+    path() const
+    {
+        return root.empty() || root == "." ? file : root + "/" + file;
+    }
 
     bool
     operator<(const Diag &o) const
     {
+        if (root != o.root)
+            return root < o.root;
         if (file != o.file)
             return file < o.file;
         if (line != o.line)
@@ -87,15 +103,15 @@ parseRuleList(const std::string &text, std::size_t open_paren)
 }
 
 /**
- * Parse `<prefix>: allow(...)` / `<prefix>: allow-file(...)` and
- * `<prefix>-expect(...)` from comment tokens, attributing each
+ * Parse `hopp-analyze: allow(...)` / `hopp-analyze: allow-file(...)`
+ * and `hopp-analyze-expect(...)` from comment tokens, attributing each
  * directive to the physical line it sits on.
  */
 inline Directives
-parseDirectives(const std::vector<Token> &comments, const char *prefix)
+parseDirectives(const std::vector<Token> &comments)
 {
-    const std::string kw = std::string(prefix) + ":";
-    const std::string expect_kw = std::string(prefix) + "-expect(";
+    const std::string kw = "hopp-analyze:";
+    const std::string expect_kw = "hopp-analyze-expect(";
     Directives d;
     for (const auto &tok : comments) {
         std::istringstream in(tok.text);
@@ -133,31 +149,90 @@ parseDirectives(const std::vector<Token> &comments, const char *prefix)
 inline bool
 listCovers(const std::vector<std::string> &rules, const std::string &rule)
 {
-    return std::any_of(rules.begin(), rules.end(),
-                       [&](const std::string &r) {
-                           return r == "*" || r == rule;
-                       });
+    return std::find(rules.begin(), rules.end(), rule) != rules.end();
 }
 
 /** One lexed source file of the analyzed tree. */
 struct SourceFile
 {
-    std::filesystem::path path; //!< absolute/as-walked path
-    std::string rel;            //!< root-relative, '/' separators
-    std::string module;         //!< first path component ("" at root)
+    std::string root;   //!< the root it was found under, else ""
+    std::string rel;    //!< root-relative ('/'), or a file root as given
+    std::string module; //!< first path component ("" at root)
     bool header = false;
     std::vector<CodeToken> code;
-    std::vector<Token> pp;      //!< PpDirective tokens, raw text
+    std::vector<Token> pp;          //!< PpDirective tokens, raw text
+    std::vector<std::string> lines; //!< TokenStream::strippedLines()
+    std::vector<bool> blank;        //!< raw line is whitespace-only
     Directives directives;
+
+    /**
+     * Is a `rule` finding on `line` suppressed? File-wide allows and
+     * allows on the line itself always count. An allow on an earlier
+     * line counts while no blank line and no completed statement
+     * (a code line ending in ';', '{' or '}') sits between — so one
+     * allow above a wrapped statement covers every continuation line.
+     * The walk is bounded: statements wrap a few lines, not dozens.
+     */
+    bool
+    allows(int line, const std::string &rule) const
+    {
+        auto allowedAt = [&](int n) {
+            auto it = directives.lineAllows.find(n);
+            return it != directives.lineAllows.end() &&
+                   listCovers(it->second, rule);
+        };
+        if (listCovers(directives.fileAllows, rule) || allowedAt(line))
+            return true;
+        for (int n = line - 1, steps = 0;
+             n >= 1 && steps < 8 &&
+             static_cast<std::size_t>(n) <= lines.size();
+             --n, ++steps) {
+            if (blank[n - 1])
+                return false;
+            if (allowedAt(n))
+                return true;
+            std::size_t last = lines[n - 1].find_last_not_of(" \t");
+            char end = last == std::string::npos ? ' ' : lines[n - 1][last];
+            if (end == ';' || end == '{' || end == '}')
+                return false;
+        }
+        return false;
+    }
 };
 
-/** The whole analyzed tree, files sorted by relative path. */
+/** Lex one file's source into a SourceFile keyed by `rel`. */
+inline SourceFile
+lexFile(const std::string &rel, const std::string &src)
+{
+    TokenStream ts(src);
+    SourceFile f;
+    f.rel = rel;
+    std::size_t slash = rel.find('/');
+    f.module =
+        slash == std::string::npos ? std::string() : rel.substr(0, slash);
+    std::string ext = std::filesystem::path(rel).extension().string();
+    f.header = ext == ".hh" || ext == ".hpp";
+    f.code = ts.code();
+    for (const auto &t : ts.all())
+        if (t.kind == TokKind::PpDirective)
+            f.pp.push_back(t);
+    f.lines = ts.strippedLines();
+    std::istringstream in(src);
+    for (std::string line; std::getline(in, line);)
+        f.blank.push_back(line.find_first_not_of(" \t") ==
+                          std::string::npos);
+    f.blank.resize(f.lines.size(), true);
+    f.directives = parseDirectives(ts.comments());
+    return f;
+}
+
+/** The whole analyzed tree: each root's files, sorted by path. */
 struct SourceTree
 {
-    std::filesystem::path root;
     std::vector<SourceFile> files;
     std::vector<Diag> diags;
 
+    /** The file an include of `rel` resolves to: first root wins. */
     const SourceFile *
     find(const std::string &rel) const
     {
@@ -167,20 +242,13 @@ struct SourceTree
         return nullptr;
     }
 
-    /** Report unless suppressed on the line, one above, or file-wide. */
+    /** Report unless an allow directive covers it. */
     void
     report(const SourceFile &f, int line, const char *rule,
            std::string message)
     {
-        if (listCovers(f.directives.fileAllows, rule))
-            return;
-        for (int n : {line, line - 1}) {
-            auto it = f.directives.lineAllows.find(n);
-            if (it != f.directives.lineAllows.end() &&
-                listCovers(it->second, rule))
-                return;
-        }
-        diags.push_back({f.rel, line, rule, std::move(message)});
+        if (!f.allows(line, rule))
+            diags.push_back({f.rel, line, rule, std::move(message), f.root});
     }
 };
 
@@ -191,47 +259,47 @@ analyzableFile(const std::filesystem::path &p)
     return ext == ".cc" || ext == ".hh" || ext == ".cpp" || ext == ".hpp";
 }
 
-/** Load and lex every C++ file under `root` (or the single file). */
+/**
+ * Load and lex every C++ file under each root, as one tree. A root may
+ * also be a single file: it keeps its path as given for `rel` (so the
+ * per-file rules still see its obs/, sim/ or runner/ directories), an
+ * empty `root`, and no module to layer.
+ */
 inline SourceTree
-loadTree(const std::filesystem::path &root)
+loadTree(const std::vector<std::string> &roots)
 {
     namespace fs = std::filesystem;
     SourceTree tree;
-    tree.root = root;
+    for (const auto &root : roots) {
+        std::vector<fs::path> paths;
+        bool single = fs::is_regular_file(root);
+        if (single)
+            paths.emplace_back(root);
+        else
+            for (const auto &entry : fs::recursive_directory_iterator(root))
+                if (entry.is_regular_file() &&
+                    analyzableFile(entry.path()))
+                    paths.push_back(entry.path());
+        std::sort(paths.begin(), paths.end());
+        std::string base = single ? "" : root;
+        while (base.size() > 1 && base.back() == '/')
+            base.pop_back();
 
-    std::vector<fs::path> paths;
-    if (fs::is_regular_file(root))
-        paths.push_back(root);
-    else
-        for (const auto &entry : fs::recursive_directory_iterator(root))
-            if (entry.is_regular_file() && analyzableFile(entry.path()))
-                paths.push_back(entry.path());
-    std::sort(paths.begin(), paths.end());
-
-    for (const auto &p : paths) {
-        std::ifstream in(p);
-        if (!in)
-            continue;
-        std::ostringstream ss;
-        ss << in.rdbuf();
-        TokenStream ts(ss.str());
-
-        SourceFile f;
-        f.path = p;
-        f.rel = fs::is_regular_file(root)
-                    ? p.filename().generic_string()
-                    : fs::relative(p, root).generic_string();
-        std::size_t slash = f.rel.find('/');
-        f.module = slash == std::string::npos ? std::string()
-                                              : f.rel.substr(0, slash);
-        auto ext = p.extension().string();
-        f.header = ext == ".hh" || ext == ".hpp";
-        f.code = ts.code();
-        for (const auto &t : ts.all())
-            if (t.kind == TokKind::PpDirective)
-                f.pp.push_back(t);
-        f.directives = parseDirectives(ts.comments(), "hopp-analyze");
-        tree.files.push_back(std::move(f));
+        for (const auto &p : paths) {
+            std::ifstream in(p);
+            if (!in)
+                continue;
+            std::ostringstream ss;
+            ss << in.rdbuf();
+            SourceFile f =
+                lexFile(single ? p.lexically_normal().generic_string()
+                               : fs::relative(p, root).generic_string(),
+                        ss.str());
+            f.root = base;
+            if (single)
+                f.module.clear();
+            tree.files.push_back(std::move(f));
+        }
     }
     return tree;
 }

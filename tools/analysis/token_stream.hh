@@ -1,10 +1,10 @@
 /**
  * @file
- * Token-stream views and matching helpers shared by hopp_lint and
- * hopp_analyze.
+ * Token-stream views and matching helpers shared by the hopp_analyze
+ * passes.
  *
  * A TokenStream wraps one lexed file and offers the three views the
- * analysis tools consume:
+ * passes consume:
  *
  *   - code(): tokens with whitespace and comments removed and string /
  *     char literal *contents* replaced by an empty literal — rules
@@ -13,7 +13,7 @@
  *     spaces and literal contents blanked in place — for the legacy
  *     line-window rules (layout and columns preserved exactly);
  *   - comments(): comment tokens only — suppression directives like
- *     `// hopp-lint: allow(...)` are parsed from here, so a directive
+ *     `// hopp-analyze: allow(...)` are parsed from here, so a directive
  *     spelled inside a string literal can no longer suppress anything.
  *
  * ppText() flattens a preprocessor directive token: line continuations

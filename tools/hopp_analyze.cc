@@ -1,11 +1,14 @@
-// hopp-lint: allow-file(*)
 /**
  * @file
- * hopp_analyze — cross-translation-unit static analyzer for the HoPP
- * tree. Where hopp_lint checks one file at a time, this tool loads the
- * whole source tree (tools/analysis/model.hh), lexes every file with
- * the shared lexer, and runs passes that need the global view:
+ * hopp_analyze — the static analyzer for the HoPP tree. It loads its
+ * roots as one tree (tools/analysis/model.hh), lexes every file once
+ * with the shared lexer, and runs four passes:
  *
+ *   file_rules.hh     per-file determinism, type-discipline and layer
+ *                     rules: host RNG / wall clock / thread
+ *                     primitives, unordered iteration, pointer keys,
+ *                     raw address integers, .raw() and pageShift
+ *                     escapes, chrono in obs/, std::function in sim/
  *   include_graph.hh  module layering against tools/analysis/layers.conf,
  *                     rooted include paths, one guard style, and
  *                     include-cycle detection
@@ -23,26 +26,34 @@
  *                [--verbose] ROOT...
  *   hopp_analyze --self-test FIXTURE_DIR
  *
- * With no --layers, ROOT/layers.conf is used when present; with no
- * --hotpaths, ROOT/hotpaths.conf — either file being absent skips
- * that pass (the remaining passes still run). --json prints the
- * findings as a machine-readable array (for CI annotations) instead
- * of the human lines. --self-test treats each immediate subdirectory
- * of FIXTURE_DIR as an independent tree and checks the emitted
- * diagnostics against `hopp-analyze-expect(rule)` markers.
+ * The roots form one tree, like an include path: in `hopp_analyze src
+ * tools`, tools/ includes src/ headers by their module-rooted names. A
+ * ROOT may also be one file; it keeps its path as given, so the
+ * per-file rules' obs/, sim/ and runner/sweep* carve-outs still apply.
+ * With no --layers, the first ROOT/layers.conf is used when present;
+ * with no --hotpaths, the first ROOT/hotpaths.conf — an absent implicit
+ * file skips that pass (the remaining passes still run), while a file
+ * named on the command line must open. --json prints the findings as a
+ * machine-readable array (for CI annotations) instead of the human
+ * lines. --self-test treats each immediate subdirectory of FIXTURE_DIR
+ * as an independent tree and checks the emitted diagnostics against
+ * `hopp-analyze-expect(rule)` markers.
  *
  * Exit codes: 0 clean, 1 violations (or self-test mismatch), 2 usage /
  * IO error.
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "analysis/call_graph.hh"
+#include "analysis/file_rules.hh"
 #include "analysis/hotpath.hh"
 #include "analysis/include_graph.hh"
 #include "analysis/model.hh"
@@ -65,38 +76,59 @@ struct Options
     std::vector<std::string> roots;
 };
 
-/** Analyze one tree; returns its diagnostics, sorted. */
-std::vector<Diag>
-analyzeRoot(const fs::path &root, const Options &opt)
+[[noreturn]] void
+fail(const std::string &why)
 {
-    SourceTree tree = loadTree(root);
+    std::fprintf(stderr, "hopp_analyze: %s\n", why.c_str());
+    std::exit(2);
+}
 
-    fs::path conf = opt.layersFile.empty() ? root / "layers.conf"
-                                           : fs::path(opt.layersFile);
-    LayerConfig cfg = loadLayerConfig(conf);
-    if (!cfg.error.empty()) {
-        std::fprintf(stderr, "hopp_analyze: %s: %s\n",
-                     conf.string().c_str(), cfg.error.c_str());
-        std::exit(2);
+/**
+ * The config file to load: the one named on the command line, else the
+ * first ROOT/<name> that exists, else "" (pass skipped).
+ */
+std::string
+configFile(const std::string &given, const std::vector<std::string> &roots,
+           const char *name)
+{
+    if (!given.empty()) {
+        if (!fs::is_regular_file(given) || !std::ifstream(given))
+            fail(given + ": cannot open");
+        return given;
     }
-    fs::path hconf_path = opt.hotpathsFile.empty()
-                              ? root / "hotpaths.conf"
-                              : fs::path(opt.hotpathsFile);
-    HotpathConfig hconf = loadHotpathConfig(hconf_path);
-    if (!hconf.error.empty()) {
-        std::fprintf(stderr, "hopp_analyze: %s\n", hconf.error.c_str());
-        std::exit(2);
-    }
+    for (const auto &root : roots)
+        if (fs::is_regular_file(fs::path(root) / name))
+            return (fs::path(root) / name).string();
+    return "";
+}
+
+/** Run every pass over `tree`; its diagnostics end up sorted. */
+void
+analyze(SourceTree &tree, const std::vector<std::string> &roots,
+        const Options &opt)
+{
+    std::string layers = configFile(opt.layersFile, roots, "layers.conf");
+    LayerConfig cfg = loadLayerConfig(layers);
+    if (!cfg.error.empty())
+        fail(layers + ": " + cfg.error);
+    std::string hot = configFile(opt.hotpathsFile, roots, "hotpaths.conf");
+    HotpathConfig hconf = loadHotpathConfig(hot);
+    if (!hconf.error.empty())
+        fail(hconf.error);
     if (opt.verbose) {
+        std::string names;
+        for (const auto &r : roots)
+            names += (names.empty() ? "" : " ") + r;
         std::fprintf(
             stderr,
             "hopp_analyze: %s: %zu files, layers.conf %s, "
             "hotpaths.conf %s\n",
-            root.string().c_str(), tree.files.size(),
+            names.c_str(), tree.files.size(),
             cfg.loaded ? "loaded" : "absent (layering skipped)",
             hconf.loaded ? "loaded" : "absent (hotpath skipped)");
     }
 
+    fileRulesPass(tree);
     includeGraphPass(tree, cfg);
 
     SymbolIndex sym = buildSymbolIndex(tree);
@@ -133,16 +165,6 @@ analyzeRoot(const fs::path &root, const Options &opt)
     }
 
     std::sort(tree.diags.begin(), tree.diags.end());
-    return tree.diags;
-}
-
-void
-printDiags(const std::vector<Diag> &diags, const std::string &prefix)
-{
-    for (const auto &d : diags)
-        std::printf("%s%s:%d: [%s] %s\n", prefix.c_str(),
-                    d.file.c_str(), d.line, d.rule.c_str(),
-                    d.message.c_str());
 }
 
 std::string
@@ -179,32 +201,24 @@ jsonEscape(const std::string &s)
 
 /**
  * Machine-readable findings: a JSON array, one object per diagnostic.
- * `path` is the repo-relative location CI can annotate (`file` is
- * root-relative as printed by the human output; hotpath-root diags
- * already carry the config path).
+ * `path` is the location CI annotates: the root as given joined with
+ * the root-relative `file` (repo-relative when the roots are), or the
+ * config path for hotpath-root diags.
  */
 void
-printJson(const std::vector<std::pair<std::string, std::vector<Diag>>>
-              &by_root)
+printJson(const std::vector<Diag> &diags)
 {
     std::printf("[");
     bool first = true;
-    for (const auto &[root, diags] : by_root) {
-        for (const auto &d : diags) {
-            std::string path =
-                d.rule == "hotpath-root" || root == "."
-                    ? d.file
-                    : root + "/" + d.file;
-            std::printf("%s\n  {\"root\": \"%s\", \"file\": \"%s\", "
-                        "\"path\": \"%s\", \"line\": %d, "
-                        "\"rule\": \"%s\", \"message\": \"%s\"}",
-                        first ? "" : ",", jsonEscape(root).c_str(),
-                        jsonEscape(d.file).c_str(),
-                        jsonEscape(path).c_str(), d.line,
-                        d.rule.c_str(),
-                        jsonEscape(d.message).c_str());
-            first = false;
-        }
+    for (const auto &d : diags) {
+        std::printf("%s\n  {\"root\": \"%s\", \"file\": \"%s\", "
+                    "\"path\": \"%s\", \"line\": %d, "
+                    "\"rule\": \"%s\", \"message\": \"%s\"}",
+                    first ? "" : ",", jsonEscape(d.root).c_str(),
+                    jsonEscape(d.file).c_str(),
+                    jsonEscape(d.path()).c_str(), d.line, d.rule.c_str(),
+                    jsonEscape(d.message).c_str());
+        first = false;
     }
     std::printf("%s]\n", first ? "" : "\n");
 }
@@ -233,7 +247,8 @@ runSelfTest(const fs::path &fixture_dir, bool verbose)
     std::sort(subdirs.begin(), subdirs.end());
 
     for (const auto &dir : subdirs) {
-        SourceTree tree = loadTree(dir);
+        std::vector<std::string> roots = {dir.string()};
+        SourceTree tree = loadTree(roots);
         std::set<std::pair<std::string, std::pair<int, std::string>>>
             want;
         for (const auto &f : tree.files)
@@ -243,26 +258,21 @@ runSelfTest(const fs::path &fixture_dir, bool verbose)
 
         Options fixture_opt;
         fixture_opt.verbose = verbose;
-        auto diags = analyzeRoot(dir, fixture_opt);
-        emitted += static_cast<int>(diags.size());
-        auto left = want;
-        for (const auto &d : diags) {
-            std::pair<std::string, std::pair<int, std::string>> key{
-                d.file, {d.line, d.rule}};
-            if (left.erase(key))
+        analyze(tree, roots, fixture_opt);
+        emitted += static_cast<int>(tree.diags.size());
+        for (const auto &d : tree.diags) {
+            if (want.erase({d.file, {d.line, d.rule}}))
                 continue;
             ++mismatches;
-            std::printf("SPURIOUS %s/%s:%d: [%s] %s\n",
-                        dir.filename().string().c_str(),
-                        d.file.c_str(), d.line, d.rule.c_str(),
-                        d.message.c_str());
+            std::printf("SPURIOUS %s:%d: [%s] %s\n", d.path().c_str(),
+                        d.line, d.rule.c_str(), d.message.c_str());
         }
-        for (const auto &[file, at] : left) {
+        for (const auto &[file, at] : want) {
             ++mismatches;
             std::printf("MISSING  %s/%s:%d: [%s] expected but not "
                         "emitted\n",
-                        dir.filename().string().c_str(), file.c_str(),
-                        at.first, at.second.c_str());
+                        dir.string().c_str(), file.c_str(), at.first,
+                        at.second.c_str());
         }
     }
     std::printf("hopp_analyze self-test: %d expected, %d emitted, %d "
@@ -314,24 +324,21 @@ main(int argc, char **argv)
         return runSelfTest(opt.roots[0], opt.verbose);
     }
 
-    int total = 0;
-    std::vector<std::pair<std::string, std::vector<Diag>>> by_root;
-    for (const auto &root : opt.roots) {
-        if (!fs::exists(root)) {
-            std::fprintf(stderr, "hopp_analyze: %s: no such path\n",
-                         root.c_str());
-            return 2;
-        }
-        auto diags = analyzeRoot(root, opt);
-        if (!opt.json)
-            printDiags(diags, opt.roots.size() > 1 ? root + ": " : "");
-        total += static_cast<int>(diags.size());
-        by_root.emplace_back(root, std::move(diags));
+    for (const auto &root : opt.roots)
+        if (!fs::exists(root))
+            fail(root + ": no such path");
+    SourceTree tree = loadTree(opt.roots);
+    analyze(tree, opt.roots, opt);
+    if (opt.json) {
+        printJson(tree.diags);
+    } else {
+        for (const auto &d : tree.diags)
+            std::printf("%s:%d: [%s] %s\n", d.path().c_str(), d.line,
+                        d.rule.c_str(), d.message.c_str());
     }
-    if (opt.json)
-        printJson(by_root);
+    std::size_t total = tree.diags.size();
     if (total)
-        std::fprintf(stderr, "hopp_analyze: %d violation%s\n", total,
+        std::fprintf(stderr, "hopp_analyze: %zu violation%s\n", total,
                      total == 1 ? "" : "s");
     return total == 0 ? 0 : 1;
 }

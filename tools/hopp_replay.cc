@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/flags.hh"
 #include "obs/trace_writer.hh"
 #include "runner/replay_engine.hh"
 #include "runner/sweep_pool.hh"
@@ -161,6 +162,9 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    if (int rc = cli::checkFlags("hopp-replay",
+                                 {.channels = base.hopp.channels}))
+        return rc;
     if (trace_path.empty()) {
         usage(argv[0]);
         return 2;

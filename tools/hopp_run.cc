@@ -19,13 +19,13 @@
  *   hopp-run --list
  */
 
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hh"
 #include "hopp/hopp_system.hh"
 #include "obs/profiler.hh"
 #include "obs/trace_writer.hh"
@@ -259,20 +259,12 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    // Reject out-of-range values here: past this point they surface as
-    // an uncaught exception, a deep assertion or a degenerate run.
-    auto reject = [](const char *why) {
-        std::fprintf(stderr, "hopp-run: %s\n", why);
-        return 2;
-    };
-    if (!(cfg.localMemRatio > 0.0 && cfg.localMemRatio <= 1.0))
-        return reject("--ratio must be in (0, 1]");
-    if (!(scale.footprint > 0.0))
-        return reject("--scale must be > 0");
-    if (!(scale.iterations > 0.0))
-        return reject("--iterations must be > 0");
-    if (!std::has_single_bit(cfg.hopp.channels))
-        return reject("--channels must be a power of two (1, 2, 4, ...)");
+    if (int rc = cli::checkFlags("hopp-run",
+                                 {.ratios = {cfg.localMemRatio},
+                                  .scale = scale.footprint,
+                                  .iterations = scale.iterations,
+                                  .channels = cfg.hopp.channels}))
+        return rc;
     if (workload_names.empty())
         workload_names.push_back("kmeans-omp");
     if (!trace_out.empty() || !trace_jsonl.empty())

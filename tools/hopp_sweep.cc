@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/flags.hh"
 #include "obs/trace_writer.hh"
 #include "runner/machine.hh"
 #include "runner/stats_report.hh"
@@ -188,6 +189,14 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    std::vector<double> ratio_values;
+    for (const auto &ratio : ratios)
+        ratio_values.push_back(ratio.second);
+    if (int rc = cli::checkFlags("hopp-sweep",
+                                 {.ratios = ratio_values,
+                                  .scale = scale.footprint,
+                                  .iterations = scale.iterations}))
+        return rc;
     if (workload_names.empty())
         workload_names.push_back("kmeans-omp");
     if (systems.empty())
