@@ -92,15 +92,49 @@ class Access
     auditCache(const mem::SetAssocCache<V> &c, const char *what,
                Report &r)
     {
+        using Cache = mem::SetAssocCache<V>;
         std::size_t valid = 0;
         std::vector<std::uint64_t> tags;
         for (std::size_t s = 0; s < c.sets_; ++s) {
+            // The rank bytes of the real ways order them by recency, so
+            // they must be a permutation of 0..ways-1; padding lanes
+            // hold the pad rank for good.
+            const std::uint64_t *ranks = c.rankWords(s);
+            std::uint64_t seen = 0;
+            for (std::size_t w = 0; w < 8 * c.words_; ++w) {
+                const std::uint64_t rank = Cache::laneByte(ranks, w);
+                if (w >= c.ways_ && rank != Cache::kPadRank) {
+                    r.fail(what, formatMessage(
+                                     "set %zu padding lane %zu holds "
+                                     "rank %llu, want %llu",
+                                     s, w, (unsigned long long)rank,
+                                     (unsigned long long)Cache::kPadRank));
+                } else if (w < c.ways_ && rank < c.ways_) {
+                    seen |= 1ull << rank;
+                }
+            }
+            if (seen != c.full_) {
+                r.fail(what, formatMessage(
+                                 "set %zu rank bytes are not a "
+                                 "permutation of 0..%zu",
+                                 s, c.ways_ - 1));
+            }
+            const std::uint64_t *fps = c.fingerprintWords(s);
             for (std::size_t w = 0; w < c.ways_; ++w) {
                 if (!((c.valid_[s] >> w) & 1))
                     continue;
                 std::uint64_t tag = c.tags_[s * c.ways_ + w];
                 ++valid;
                 tags.push_back(tag);
+                if (Cache::laneByte(fps, w) != Cache::fingerprint(tag)) {
+                    r.fail(what, formatMessage(
+                                     "set %zu way %zu fingerprint %llx "
+                                     "does not hash tag %llx",
+                                     s, w,
+                                     (unsigned long long)Cache::laneByte(
+                                         fps, w),
+                                     (unsigned long long)tag));
+                }
                 if ((tag & (c.sets_ - 1)) != s) {
                     r.fail(what, formatMessage(
                                      "tag %llx stored in set %zu but "
@@ -144,6 +178,16 @@ class Access
             }
         }
         hopp_panic("no valid LLC line to corrupt");
+    }
+
+    static void
+    tamperLlcRank(mem::Llc &llc)
+    {
+        // Way 0 of set 0 takes way 1's rank: two ways share a rank and
+        // one rank goes missing.
+        using Cache = decltype(llc.tags_);
+        std::uint64_t *ranks = llc.tags_.rankWords(0);
+        ranks[0] = (ranks[0] & ~0xFFull) | Cache::laneByte(ranks, 1);
     }
 
     // --- vm::Vms / vm::Cgroup -----------------------------------
@@ -539,6 +583,12 @@ void
 leakLlcOccupancy(mem::Llc &llc)
 {
     Access::tamperLlc(llc);
+}
+
+void
+corruptLlcRank(mem::Llc &llc)
+{
+    Access::tamperLlcRank(llc);
 }
 
 } // namespace testing

@@ -101,7 +101,11 @@ void validateEventQueue(const sim::EventQueue &eq, EventQueueWatch &w,
  */
 void validateVms(const vm::Vms &vms, Report &r);
 
-/** LLC invariants: tag-array occupancy accounting and set placement. */
+/**
+ * LLC invariants: tag-array occupancy accounting and set placement,
+ * per-set LRU ranks a permutation of the ways, fingerprints that hash
+ * their tags.
+ */
 void validateLlc(const mem::Llc &llc, Report &r);
 
 /**
@@ -124,6 +128,9 @@ void pushEventInPast(sim::EventQueue &eq, Tick when);
 
 /** Invalidate one LLC line without fixing occupancy accounting. */
 void leakLlcOccupancy(mem::Llc &llc);
+
+/** Give two ways of one LLC set the same LRU rank. */
+void corruptLlcRank(mem::Llc &llc);
 
 } // namespace testing
 

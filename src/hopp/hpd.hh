@@ -76,9 +76,9 @@ class Hpd
         }
         ++stats_.reads;
         Ppn ppn = pageOf(pa);
-        // One combined way scan for probe + fill (identical hit/victim
-        // behaviour to touch() + insert(), see SetAssocCache); the HPD
-        // sits behind every LLC miss, so the scan count shows.
+        // One combined probe + fill (identical hit/victim behaviour
+        // to touch() + insert(), see SetAssocCache); the HPD sits
+        // behind every LLC miss, so the probe count shows.
         auto r = table_.probeInsert(ppn, Entry{1, false});
         if (r.hit) {
             Entry *e = r.value;

@@ -29,15 +29,13 @@ void
 MarkovTable::train(Pid pid, Vpn prev, Vpn cur)
 {
     ++stats_.trained;
-    std::uint64_t key = vm::pageKey(pid, prev);
-    Entry *e = table_.touch(key);
-    if (!e) {
-        Entry fresh;
-        fresh.succ[0] = cur;
-        fresh.count[0] = 1;
-        table_.insert(key, fresh);
+    Entry fresh;
+    fresh.succ[0] = cur;
+    fresh.count[0] = 1;
+    auto r = table_.probeInsert(vm::pageKey(pid, prev), fresh);
+    if (!r.hit)
         return;
-    }
+    Entry *e = r.value;
     // Known successor: bump its count (saturating).
     for (unsigned s = 0; s < MarkovConfig::slots; ++s) {
         if (e->count[s] > 0 && e->succ[s] == cur) {

@@ -54,8 +54,8 @@ class Llc
     {
         HOPP_PROF(Llc);
         std::uint64_t tag = taggedLine(pa);
-        // One combined way scan for probe + fill (identical hit/victim
-        // behaviour to touch() + insert(), see SetAssocCache).
+        // One combined probe + fill (identical hit/victim behaviour
+        // to touch() + insert(), see SetAssocCache).
         if (tags_.probeInsert(tag, Empty{}).hit) {
             ++hits_;
             return true;

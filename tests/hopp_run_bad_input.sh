@@ -2,7 +2,7 @@
 # Boundary validation of the numeric flags hopp-run, hopp-sweep and
 # hopp-replay share. Every bad input must exit with status exactly 2
 # and print one stderr line naming the flag; the in-range edges
-# (--ratio 1, --channels 2) must still run.
+# (--ratio 1, --channels 2, --tiers 15) must still run.
 #
 # usage: sh tests/hopp_run_bad_input.sh HOPP_RUN HOPP_SWEEP HOPP_REPLAY
 run=$1
@@ -42,7 +42,9 @@ for args in "--ratio -1" "--ratio 0" "--ratio 1.5" "--ratio nan" \
     # shellcheck disable=SC2086
     expect_reject "$sweep" $small --out "$tmp/sweep.json" $args
 done
-for args in "--channels 0" "--channels 3" "--channels 6"; do
+for args in "--channels 0" "--channels 3" "--channels 6" \
+            "--tiers 0" "--tiers 16" "--tiers 99" "--tiers -1" \
+            "--tiers abc" "--tiers 1.5" "--tiers 3x"; do
     # shellcheck disable=SC2086
     expect_reject "$run" $small $args
 done
@@ -53,10 +55,14 @@ if ! "$run" $small --record-trace "$tmp/t.trc" >/dev/null; then
     echo "FAIL: could not record a trace for hopp-replay"
     exit 1
 fi
-for args in "--channels 0" "--channels 3" "--channels 6"; do
+for args in "--channels 0" "--channels 3" "--channels 6" \
+            "--tiers 0" "--tiers 99" "--tiers abc" "--tiers -1"; do
     # shellcheck disable=SC2086
     expect_reject "$replay" --trace "$tmp/t.trc" --out "$tmp/r.json" $args
 done
+# A bad mask anywhere in a repeated --tiers grid axis is rejected.
+expect_reject "$replay" --trace "$tmp/t.trc" --out "$tmp/r.json" \
+    --tiers 7 --tiers 0
 
 # shellcheck disable=SC2086
 if ! "$run" $small --ratio 1 >/dev/null; then
@@ -70,6 +76,16 @@ if ! "$sweep" $small --ratio 1 --out "$tmp/sweep.json"; then
 fi
 if ! "$replay" --trace "$tmp/t.trc" --channels 2 --out "$tmp/r.json"; then
     echo "FAIL: hopp-replay --channels 2 must be accepted"
+    fail=1
+fi
+# shellcheck disable=SC2086
+if ! "$run" $small --tiers 15 >/dev/null; then
+    echo "FAIL: hopp-run --tiers 15 must be accepted"
+    fail=1
+fi
+if ! "$replay" --trace "$tmp/t.trc" --tiers 1 --tiers 15 \
+        --out "$tmp/r.json"; then
+    echo "FAIL: hopp-replay --tiers 1 --tiers 15 must be accepted"
     fail=1
 fi
 exit $fail

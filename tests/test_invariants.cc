@@ -157,6 +157,25 @@ TEST(InvariantLlc, DetectsLeakedOccupancy)
         << r.summary();
 }
 
+TEST(InvariantLlc, DetectsCorruptRankOrder)
+{
+    mem::LlcConfig cfg;
+    cfg.capacityBytes = 64 << 10;
+    mem::Llc llc(cfg);
+    for (std::uint64_t pa = 0; pa < 256 * 64; pa += 64)
+        llc.access(PhysAddr{pa});
+
+    Report clean;
+    validateLlc(llc, clean);
+    EXPECT_TRUE(clean.ok()) << clean.summary();
+
+    hopp::check::testing::corruptLlcRank(llc);
+    Report r;
+    validateLlc(llc, r);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.mentions("not a permutation")) << r.summary();
+}
+
 TEST_F(InvariantVmsTest, HealthyVmsPasses)
 {
     // More pages than the cgroup limit: faults, reclaim, writebacks.

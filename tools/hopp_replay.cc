@@ -125,8 +125,7 @@ main(int argc, char **argv)
         if (arg == "--trace") {
             trace_path = need(i);
         } else if (arg == "--tiers") {
-            tier_masks.push_back(
-                static_cast<unsigned>(std::atoi(need(i))));
+            tier_masks.push_back(cli::parseTiers(need(i)));
         } else if (arg == "--threshold") {
             thresholds.push_back(
                 static_cast<unsigned>(std::atoi(need(i))));
@@ -163,7 +162,8 @@ main(int argc, char **argv)
         }
     }
     if (int rc = cli::checkFlags("hopp-replay",
-                                 {.channels = base.hopp.channels}))
+                                 {.channels = base.hopp.channels,
+                                  .tiers = tier_masks}))
         return rc;
     if (trace_path.empty()) {
         usage(argv[0]);

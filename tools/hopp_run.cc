@@ -174,6 +174,7 @@ main(int argc, char **argv)
     bool dump_stats = false;
     std::string trace_out, trace_jsonl, metrics_out, stats_json;
     std::string profile_out, blackbox_out, mc_stats_json;
+    std::vector<unsigned> tier_masks; // every --tiers given, checked
     Duration metrics_period = 100'000; // 100 us of simulated time
 
     auto need = [&](int &i) -> const char * {
@@ -199,8 +200,8 @@ main(int argc, char **argv)
         } else if (arg == "--depth") {
             cfg.depth = static_cast<unsigned>(std::atoi(need(i)));
         } else if (arg == "--tiers") {
-            cfg.hopp.tierMask =
-                static_cast<unsigned>(std::atoi(need(i)));
+            cfg.hopp.tierMask = cli::parseTiers(need(i));
+            tier_masks.push_back(cfg.hopp.tierMask);
         } else if (arg == "--channels") {
             cfg.hopp.channels =
                 static_cast<unsigned>(std::atoi(need(i)));
@@ -263,7 +264,8 @@ main(int argc, char **argv)
                                  {.ratios = {cfg.localMemRatio},
                                   .scale = scale.footprint,
                                   .iterations = scale.iterations,
-                                  .channels = cfg.hopp.channels}))
+                                  .channels = cfg.hopp.channels,
+                                  .tiers = tier_masks}))
         return rc;
     if (workload_names.empty())
         workload_names.push_back("kmeans-omp");
