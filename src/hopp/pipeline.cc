@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "obs/blackbox.hh"
-#include "obs/profiler.hh"
 #include "vm/page.hh"
 
 namespace hopp::core
@@ -152,7 +151,6 @@ HotPagePipeline::onMcAccess(PhysAddr pa, bool is_write, Tick now)
 void
 HotPagePipeline::drainRing()
 {
-    HOPP_PROF(HoppDrain);
     drainScheduled_ = false;
     // The drain runs inside one event callback, so eq_.now() is fixed
     // for its duration and the B/E pair below is trivially balanced.

@@ -15,7 +15,6 @@
 
 #include "common/types.hh"
 #include "mem/set_assoc.hh"
-#include "obs/profiler.hh"
 #include "stats/stats.hh"
 
 namespace hopp::mem
@@ -52,7 +51,6 @@ class Llc
     bool
     access(PhysAddr pa)
     {
-        HOPP_PROF(Llc);
         std::uint64_t tag = taggedLine(pa);
         // One combined probe + fill (identical hit/victim behaviour
         // to touch() + insert(), see SetAssocCache).

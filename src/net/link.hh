@@ -16,7 +16,6 @@
 
 #include "common/types.hh"
 #include "obs/blackbox.hh"
-#include "obs/profiler.hh"
 #include "obs/tracer.hh"
 #include "stats/stats.hh"
 
@@ -60,7 +59,6 @@ class Link
     Tick
     transfer(Bytes bytes, Tick now)
     {
-        HOPP_PROF(LinkTransfer);
         Tick start = busyUntil_ > now ? busyUntil_ : now;
         Duration ser =
             cfg_.perTransferOverhead + serializationDelay(bytes);

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/logging.hh"
-#include "obs/profiler.hh"
 
 namespace hopp::obs
 {
@@ -42,7 +41,6 @@ MetricsSampler::sampleNow()
 void
 MetricsSampler::fire()
 {
-    HOPP_PROF(MetricsSample);
     sampleNow();
     // Reschedule only while the machine still has work — pending
     // events, or (threads are pumped outside the queue) live

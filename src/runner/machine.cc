@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "obs/blackbox.hh"
-#include "obs/profiler.hh"
 #include "obs/trace_writer.hh"
 
 namespace hopp::runner
@@ -24,6 +23,19 @@ systemName(SystemKind k)
       case SystemKind::HoppOnly: return "hopp-only";
     }
     return "?";
+}
+
+std::optional<SystemKind>
+parseSystem(std::string_view name)
+{
+    for (auto kind : {SystemKind::Local, SystemKind::NoPrefetch,
+                      SystemKind::Fastswap, SystemKind::Leap,
+                      SystemKind::Vma, SystemKind::DepthN,
+                      SystemKind::Hopp, SystemKind::HoppOnly}) {
+        if (name == systemName(kind))
+            return kind;
+    }
+    return std::nullopt;
 }
 
 Tick
@@ -251,12 +263,6 @@ Machine::build()
 void
 Machine::pump()
 {
-    // One zone activation for the whole pump: its self time is the
-    // scheduler loop itself (argmin scan, cursor bookkeeping, the
-    // children's clock reads) at zero per-iteration cost, so the
-    // profiler's attributed fraction covers the loop without slowing
-    // it down.
-    HOPP_PROF(AccessPump);
     const std::size_t n = threads_.size();
     for (;;) {
         // Min-time runnable thread, and the runner-up time: the yield
@@ -302,11 +308,7 @@ Machine::pump()
         // wall time.
         Thread &t = *threads_[best];
         if (t.blockPos == t.blockLen) {
-            {
-                HOPP_PROF(WorkloadGen);
-                t.blockLen =
-                    t.gen->nextBatch(t.block.data(), t.block.size());
-            }
+            t.blockLen = t.gen->nextBatch(t.block.data(), t.block.size());
             t.blockPos = 0;
             if (t.blockLen == 0) {
                 // Empty refill is end-of-stream (nextBatch contract).
@@ -355,7 +357,6 @@ check::Report
 Machine::checkInvariants()
 {
     prepare();
-    HOPP_PROF(InvariantCheck);
     // Last-known-good marker: a post-mortem reader sees how far past
     // the final clean pass the ring's tail runs (a = events executed).
     obs::blackbox().record(obs::BbKind::InvariantCheck, eq_.now(), 0,
@@ -372,10 +373,8 @@ Machine::checkInvariants()
 void
 Machine::prepare()
 {
-    if (!built_) {
-        HOPP_PROF(MachineBuild);
+    if (!built_)
         build();
-    }
 }
 
 bool
@@ -387,10 +386,6 @@ Machine::dumpForensics(const std::string &path) const
 RunResult
 Machine::run()
 {
-    // Host-side wall-time attribution for the whole run (build, the
-    // event loop, and result collection); inner zones claim their
-    // slices as self time. No-op unless obs::prof::enable(true) ran.
-    HOPP_PROF(Run);
     // One black-box flight per run: the ring must end as the tail of
     // *this* run, not a predecessor on the same host thread (sweeps
     // reuse worker threads).

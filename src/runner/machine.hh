@@ -10,7 +10,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/invariants.hh"
@@ -50,6 +52,9 @@ enum class SystemKind
 
 /** Printable system name. */
 const char *systemName(SystemKind k);
+
+/** The system systemName() spells as @p name; nullopt if none is. */
+std::optional<SystemKind> parseSystem(std::string_view name);
 
 /** Full machine configuration. */
 struct MachineConfig

@@ -1,6 +1,5 @@
 #include "sim/event_queue.hh"
 
-#include "obs/profiler.hh"
 
 namespace hopp::sim
 {
@@ -10,10 +9,6 @@ EventQueue::runOne()
 {
     if (heap_.empty())
         return false;
-    // Host-side attribution only: every dispatched event (and thus
-    // nearly all simulation work) accounts under this zone, with the
-    // component zones below it claiming their slices as self time.
-    HOPP_PROF(EventDispatch);
     // The callback may schedule new events, so move it out first.
     // popTop() moves the closure out of the heap — no copy, no
     // allocation — which is the point of the InlineEvent design.

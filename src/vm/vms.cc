@@ -4,7 +4,6 @@
 
 #include "check/check.hh"
 #include "obs/blackbox.hh"
-#include "obs/profiler.hh"
 
 namespace hopp::vm
 {
@@ -115,7 +114,6 @@ Vms::firePteClear(Pid pid, Vpn vpn, Ppn ppn, Tick now)
 bool
 Vms::evictOne(Cgroup &cg, Tick now, bool direct, Duration *cost)
 {
-    HOPP_PROF(Reclaim);
     unsigned rotations = 0;
     while (!cg.lruEmpty()) {
         std::uint64_t key = cg.lruVictim();
@@ -259,7 +257,6 @@ Vms::kswapdRun(Pid pid)
         return;
     }
     Cgroup &cg = *found;
-    HOPP_PROF(Reclaim);
     auto target = static_cast<std::uint64_t>(
         static_cast<double>(cg.limit()) * cfg_.lowWatermark);
     if (trace_)
@@ -315,17 +312,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
 {
     // stats_.accesses was already booked by noteAccess() in access().
     Vpn vpn = pageOf(va);
-    PageInfo *walked;
-    {
-        // Host-time slice of the two-level walk alone, separated from
-        // the fault handling below so the TLB-vs-walk trade stays
-        // measurable.
-        HOPP_PROF(RadixWalk);
-        walked = &table_.get(pid, vpn);
-    }
-    PageInfo &pi = *walked;
-    // Everything below the Resident arm is fault handling.
-    HOPP_PROF_IF(FaultPath, pi.state != PageState::Resident);
+    PageInfo &pi = table_.get(pid, vpn);
 
     // Radix leaves never move, so &pi stays valid across the frame
     // allocation / reclaim below and is safe to cache in the TLB once

@@ -20,7 +20,6 @@
 #include "common/types.hh"
 #include "mem/llc.hh"
 #include "mem/memctrl.hh"
-#include "obs/profiler.hh"
 #include "obs/tracer.hh"
 #include "remote/swap_backend.hh"
 #include "sim/event_queue.hh"
@@ -174,7 +173,6 @@ class Vms
     accessBatch(Pid pid, const AccessT *block, std::size_t n, Tick now,
                 Tick stopAt, std::size_t *consumed, Tlb *tlb = nullptr)
     {
-        HOPP_PROF(VmsAccess);
         std::size_t i = 0;
         while (i < n) {
             now += access(pid, block[i].va, block[i].write, now, tlb);

@@ -441,6 +441,15 @@ allWorkloadNames()
 }
 
 std::vector<std::string>
+knownWorkloadNames()
+{
+    std::vector<std::string> out;
+    for (const auto &def : appDefs)
+        out.push_back(def.name);
+    return out;
+}
+
+std::vector<std::string>
 nonJvmWorkloadNames()
 {
     std::vector<std::string> out;

@@ -49,10 +49,8 @@ struct WorkloadScale
 };
 
 /**
- * Build a workload by name.
- * Known names: kmeans-omp quicksort hpl npb-cg npb-ft npb-lu npb-mg
- * npb-is graphx-pr graphx-cc graphx-bfs graphx-lp spark-kmeans
- * spark-bayes microbench. Fatal on unknown names.
+ * Build a workload by name, one of knownWorkloadNames(). Fatal on
+ * unknown names.
  */
 Workload makeWorkload(const std::string &name,
                       const WorkloadScale &scale = {},
@@ -60,6 +58,13 @@ Workload makeWorkload(const std::string &name,
 
 /** All application names (excluding the §VI-E microbench). */
 std::vector<std::string> allWorkloadNames();
+
+/**
+ * Every name makeWorkload() accepts: the applications, then the
+ * synthetic microbench and linkedlist. `hopp-run --list` prints this
+ * list, and the CLIs check --workload against it.
+ */
+std::vector<std::string> knownWorkloadNames();
 
 /** The non-JVM programs of Figures 9-11. */
 std::vector<std::string> nonJvmWorkloadNames();

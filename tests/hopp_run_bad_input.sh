@@ -1,8 +1,9 @@
 #!/bin/sh
 # Boundary validation of the numeric flags hopp-run, hopp-sweep and
-# hopp-replay share. Every bad input must exit with status exactly 2
-# and print one stderr line naming the flag; the in-range edges
-# (--ratio 1, --channels 2, --tiers 15) must still run.
+# hopp-replay share, and of the --workload and --system names. Every
+# bad input must exit with status exactly 2 and print one stderr line
+# naming the flag; the in-range edges (--ratio 1, --channels 2,
+# --tiers 15) and a short --metrics-period must still run.
 #
 # usage: sh tests/hopp_run_bad_input.sh HOPP_RUN HOPP_SWEEP HOPP_REPLAY
 run=$1
@@ -36,7 +37,8 @@ expect_reject() {
 }
 
 for args in "--ratio -1" "--ratio 0" "--ratio 1.5" "--ratio nan" \
-            "--scale 0" "--scale -2" "--iterations 0" "--iterations -1"; do
+            "--scale 0" "--scale -2" "--iterations 0" "--iterations -1" \
+            "--workload nosuch" "--system nosuch"; do
     # shellcheck disable=SC2086
     expect_reject "$run" $small $args
     # shellcheck disable=SC2086
@@ -47,6 +49,11 @@ for args in "--channels 0" "--channels 3" "--channels 6" \
             "--tiers abc" "--tiers 1.5" "--tiers 3x"; do
     # shellcheck disable=SC2086
     expect_reject "$run" $small $args
+done
+for period in 0 -3 abc; do
+    # shellcheck disable=SC2086
+    expect_reject "$run" $small --metrics-out "$tmp/m.csv" \
+        --metrics-period "$period"
 done
 
 # hopp-replay needs a trace to get as far as its flag checks.
@@ -81,6 +88,12 @@ fi
 # shellcheck disable=SC2086
 if ! "$run" $small --tiers 15 >/dev/null; then
     echo "FAIL: hopp-run --tiers 15 must be accepted"
+    fail=1
+fi
+# shellcheck disable=SC2086
+if ! "$run" $small --metrics-out "$tmp/m.csv" --metrics-period 1000 \
+        >/dev/null || ! test -s "$tmp/m.csv"; then
+    echo "FAIL: hopp-run --metrics-period 1000 must be accepted"
     fail=1
 fi
 if ! "$replay" --trace "$tmp/t.trc" --tiers 1 --tiers 15 \

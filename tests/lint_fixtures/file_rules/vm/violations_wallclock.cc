@@ -1,10 +1,9 @@
 /**
  * @file
  * Lint fixture: the tree-wide wall-clock rule. std::chrono and any of
- * its clocks, by qualified or bare name, anywhere outside
- * obs/profiler.* (the host self-profiler) is an error — simulated
- * components must take time
- * from sim::EventQueue ticks, never the host. Every violating line
+ * its clocks, by qualified or bare name, anywhere is an error —
+ * simulated components must take time from sim::EventQueue ticks,
+ * never the host. Every violating line
  * carries a hopp-analyze-expect marker; the self-test verifies the
  * analyzer reports exactly these.
  */

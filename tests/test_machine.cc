@@ -5,14 +5,16 @@
  * pattern-friendly workloads; multi-application runs isolate cgroups.
  */
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "obs/profiler.hh"
 #include "runner/machine.hh"
+#include "runner/replay_engine.hh"
 #include "runner/stats_report.hh"
 
 using namespace hopp;
@@ -44,6 +46,19 @@ runDigest(const std::string &stats, Tick makespan)
     for (int i = 0; i < 8; ++i)
         mix(static_cast<unsigned char>(makespan.raw() >> (8 * i)));
     return h;
+}
+
+/** Replay @p path through a one-cell ReplayEngine; its MC-side doc. */
+std::string
+replayMcStats(const std::string &path, const core::HoppConfig &hopp)
+{
+    trace::TraceReader reader;
+    EXPECT_EQ(reader.open(path), trace::TraceIoStatus::Ok);
+    ReplayConfig cfg;
+    cfg.hopp = hopp;
+    ReplayEngine engine(cfg);
+    EXPECT_EQ(engine.run(reader), trace::TraceIoStatus::Ok);
+    return engine.mcStatsJson();
 }
 
 /**
@@ -239,28 +254,29 @@ TEST(Machine, DeterministicAcrossRuns)
 
 TEST(Machine, TlbOnOffIdenticalOnEveryWorkload)
 {
-    // The software TLB is an accelerator and the self-profiler a host
+    // The software TLB is an accelerator and the trace recorder an
     // observer, neither a model: on every workload under every main
-    // system, turning the TLB off or the profiler on must leave the
-    // stats document byte-identical and the makespan unchanged. Every
-    // access resolves to exactly one LLC hit or miss, and the fault
-    // classes can never outnumber the accesses. Each run's digest must
-    // also match kGoldenRuns, so a host-side rewrite that moves the
-    // model identically in every mode still fails here.
+    // system, turning the TLB off or recording on must leave the stats
+    // document byte-identical and the makespan unchanged. Every access
+    // resolves to exactly one LLC hit or miss, and the fault classes
+    // can never outnumber the accesses. Where a HoPP pipeline runs,
+    // replaying the recorded trace must reproduce its MC-side stats
+    // byte for byte. Each run's digest must also match kGoldenRuns, so
+    // a host-side rewrite that moves the model identically in every
+    // mode still fails here.
     struct Mode
     {
         const char *name;
-        bool tlb, profile;
+        bool tlb, record;
     };
     const Mode modes[] = {
         {"baseline", true, false},
         {"tlb off", false, false},
-        {"profiler on", true, true},
+        {"recording on", true, true},
     };
-    const bool profiling = obs::prof::enabled();
-    std::vector<std::string> names = workloads::allWorkloadNames();
-    names.push_back("microbench");
-    names.push_back("linkedlist");
+    const std::string trace =
+        "machine_identity_" + std::to_string(::getpid()) + ".trc";
+    std::vector<std::string> names = workloads::knownWorkloadNames();
     ASSERT_EQ(names.size(), 16u);
     struct Case
     {
@@ -290,18 +306,27 @@ TEST(Machine, TlbOnOffIdenticalOnEveryWorkload)
 
     std::string table;
     bool mismatch = false;
+    unsigned replayed = 0;
     for (std::size_t c = 0; c < cases.size(); ++c) {
         SCOPED_TRACE(cases[c].label);
         std::string stats[3];
         Tick makespan[3];
         for (int k = 0; k < 3; ++k) {
-            obs::prof::enable(modes[k].profile);
             MachineConfig cfg = cases[c].cfg;
             cfg.tlb = modes[k].tlb;
+            if (modes[k].record)
+                cfg.recordTracePath = trace;
             Machine m(cfg);
             m.addWorkload(workloads::makeWorkload(cases[c].workload, tiny()));
             RunResult r = m.run();
-            obs::prof::enable(profiling);
+            if (modes[k].record) {
+                EXPECT_TRUE(m.traceRecordOk());
+                if (core::HoppSystem *h = m.hoppSystem()) {
+                    EXPECT_EQ(replayMcStats(trace, cfg.hopp),
+                              core::mcSideStatsJson(h->pipeline()));
+                    ++replayed;
+                }
+            }
             const vm::VmsStats &v = r.vms;
             EXPECT_EQ(v.accesses, v.llcHits + v.llcMisses)
                 << modes[k].name;
@@ -324,6 +349,8 @@ TEST(Machine, TlbOnOffIdenticalOnEveryWorkload)
                     cases[c].label != kGoldenRuns[c].label ||
                     digest != kGoldenRuns[c].digest;
     }
+    std::remove(trace.c_str());
+    EXPECT_EQ(replayed, 19u);
     mismatch |= cases.size() != std::size(kGoldenRuns);
     EXPECT_FALSE(mismatch)
         << "simulated output moved; if the model change is intended, "

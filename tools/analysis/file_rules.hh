@@ -13,10 +13,8 @@
  *                     unrepeatable.
  *   wall-clock        std::chrono and its clocks / gettimeofday /
  *                     time() / clock() — all simulated time must be
- *                     sim::EventQueue ticks. obs/profiler.* is the one
- *                     sanctioned reader (it times the simulator itself
- *                     and is proven side-effect free by the profiler
- *                     on/off byte-identity test).
+ *                     sim::EventQueue ticks. Host time is measured
+ *                     from outside the simulator, by perfbench/.
  *   unordered-iter    range-for or begin() iteration over a variable
  *                     declared as std::unordered_map/unordered_set in
  *                     the file or its sibling header — iteration order
@@ -39,9 +37,9 @@
  *
  * Layer rules, keyed on the file's module:
  *
- *   obs-chrono        any std::chrono (or <chrono> include) under obs/
- *                     outside obs/profiler.* — traces must stay
- *                     byte-deterministic, so timestamps are ticks.
+ *   obs-chrono        any std::chrono (or <chrono> include) under
+ *                     obs/ — traces must stay byte-deterministic, so
+ *                     timestamps are ticks.
  *   sim-std-function  std::function under sim/ — the event core is
  *                     allocation-free; closures go through
  *                     sim::InlineEvent or a template parameter.
@@ -307,13 +305,11 @@ fileRulesPass(SourceTree &tree)
     using namespace file_rules_detail;
     for (const SourceFile &f : tree.files) {
         const std::vector<CodeToken> &code = f.code;
-        // Path carve-outs. The sweep pool is the one sanctioned home
-        // for host threads and the self-profiler the one sanctioned
-        // wall-clock reader; basename prefixes cover files split out
-        // beside them.
+        // Path carve-out: the sweep pool is the one sanctioned home
+        // for host threads; the basename prefix covers files split out
+        // beside it.
         bool in_sweep = pathHas(f.rel, "runner/sweep");
-        bool in_profiler = pathHas(f.rel, "obs/profiler.");
-        bool in_obs = pathHas(f.rel, "obs/") && !in_profiler;
+        bool in_obs = pathHas(f.rel, "obs/");
         bool in_sim = pathHas(f.rel, "sim/");
         bool is_types_hh = pathHas(f.rel, "common/types.hh");
 
@@ -412,12 +408,12 @@ fileRulesPass(SourceTree &tree)
             }
 
             name = hazardAt(code, i, Hazard::Clock);
-            if (!name.empty() && !in_profiler) {
+            if (!name.empty()) {
                 emit(line, "wall-clock",
                      "'" + name +
                          "' reads wall-clock time; simulated time must "
                          "come from sim::EventQueue ticks (host timing "
-                         "belongs in obs/profiler.*)");
+                         "belongs in perfbench/, outside the simulator)");
             }
 
             name = hazardAt(code, i, Hazard::Thread);

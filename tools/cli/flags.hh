@@ -1,17 +1,19 @@
 /**
  * @file
  * Range checks for the numeric flags hopp-run, hopp-sweep and
- * hopp-replay share (--tiers only hopp-run and hopp-replay take).
- * Each CLI calls checkFlags() once its arguments are parsed and
- * before it builds anything: past that point an out-of-range value
- * surfaces as an uncaught exception, a deep assertion or a
- * degenerate run.
+ * hopp-replay share (--tiers only hopp-run and hopp-replay take,
+ * --metrics-period only hopp-run). Each CLI calls checkFlags() once
+ * its arguments are parsed and before it builds anything: past that
+ * point an out-of-range value surfaces as an uncaught exception, a
+ * deep assertion or a degenerate run. Unknown --workload and --system
+ * names are rejected the same way, through rejectName().
  */
 
 #pragma once
 
 #include <bit>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -26,20 +28,23 @@ struct FlagValues
     double scale = 1.0;                 //!< --scale
     double iterations = 1.0;            //!< --iterations
     unsigned channels = 1;              //!< --channels
-    std::vector<unsigned> tiers = {};   //!< --tiers, via parseTiers()
+    std::vector<unsigned> tiers = {};   //!< --tiers, via parseWhole()
+    std::uint64_t metricsPeriod = 1;    //!< --metrics-period, likewise
 };
 
 /**
- * A --tiers value: the mask when @p text is a whole decimal number,
- * else 0, which checkFlags() rejects like any mask outside 1..15.
+ * A --tiers or --metrics-period value: the number when all of @p text
+ * is a whole decimal number that fits T, else 0, which checkFlags()
+ * rejects for both flags.
  */
-inline unsigned
-parseTiers(const char *text)
+template <typename T>
+inline T
+parseWhole(const char *text)
 {
-    unsigned mask = 0;
+    T value = 0;
     const char *end = text + std::strlen(text);
-    auto [stop, ec] = std::from_chars(text, end, mask);
-    return ec == std::errc{} && stop == end ? mask : 0;
+    auto [stop, ec] = std::from_chars(text, end, value);
+    return ec == std::errc{} && stop == end ? value : 0;
 }
 
 /**
@@ -63,9 +68,22 @@ checkFlags(const char *tool, const FlagValues &v)
         if (!why && !(t >= 1 && t <= 15))
             why = "--tiers must be a whole number in 1..15 "
                   "(SSP=1, LSP=2, RSP=4, Markov=8)";
+    if (!why && v.metricsPeriod < 1)
+        why = "--metrics-period must be a whole number of ns >= 1";
     if (!why)
         return 0;
     std::fprintf(stderr, "%s: %s\n", tool, why);
+    return 2;
+}
+
+/**
+ * Reject @p value for a name-valued @p flag (--workload, --system)
+ * that names nothing: one stderr line, and 2, as checkFlags() does.
+ */
+inline int
+rejectName(const char *tool, const char *flag, const char *value)
+{
+    std::fprintf(stderr, "%s: unknown %s '%s'\n", tool, flag, value);
     return 2;
 }
 

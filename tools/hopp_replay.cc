@@ -125,7 +125,7 @@ main(int argc, char **argv)
         if (arg == "--trace") {
             trace_path = need(i);
         } else if (arg == "--tiers") {
-            tier_masks.push_back(cli::parseTiers(need(i)));
+            tier_masks.push_back(cli::parseWhole<unsigned>(need(i)));
         } else if (arg == "--threshold") {
             thresholds.push_back(
                 static_cast<unsigned>(std::atoi(need(i))));

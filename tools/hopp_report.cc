@@ -1,42 +1,21 @@
 /**
  * @file
- * hopp-report: aggregate one run's observability artifacts into a
- * single ranked report, with baseline diffing for CI.
+ * hopp-report: render one run's stats and metrics artifacts as a
+ * single markdown report.
  *
- *   hopp-report [--bench FILE] [--baseline FILE]
- *               [--fail-on-regress PCT] [--stats FILE]
- *               [--metrics FILE] [--profile FILE]
- *               [--out FILE.md] [--json FILE.json] [--github]
- *               [--top N]
+ *   hopp-report [--stats FILE] [--metrics FILE] [--out FILE.md]
  *
- * Inputs (all optional, at least one required):
- *   --bench FILE     bench_simcore output (BENCH_simcore.json)
- *   --baseline FILE  a previous bench JSON to diff against
+ * Inputs (at least one required):
  *   --stats FILE     hopp-run --stats-json output
  *   --metrics FILE   hopp-run --metrics-out CSV
- *   --profile FILE   hopp-run --profile-out / bench self-profile JSON
  *
- * Outputs:
- *   markdown report to stdout (or --out FILE.md), optional machine
- *   summary to --json FILE.json, and with --github one
- *   `::warning` annotation per regression for Actions logs.
- *
- * Regression gate: --fail-on-regress 10% exits non-zero when any
- * direction-aware bench metric moved more than the threshold the
- * wrong way vs the baseline. Direction comes from the metric name:
- * throughput-like suffixes (_per_sec, speedup, hit_rate, accuracy,
- * coverage, fraction, compression_ratio, identical_results — booleans
- * diff as 0/1, so a fidelity flag flipping false regresses by 100%)
- * must not drop; cost-like suffixes (wall_sec, wall_ns_per_sim_ms,
- * miss_rate, bytes_per_record) must not rise; anything else (counts,
- * configs) is reported but never gates.
+ * The markdown goes to stdout, or to --out FILE.md. Host speed is not
+ * measured here: perfbench/ is the one benchmark.
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -52,11 +31,7 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--bench FILE] [--baseline FILE]\n"
-        "          [--fail-on-regress PCT] [--stats FILE]\n"
-        "          [--metrics FILE] [--profile FILE]\n"
-        "          [--out FILE.md] [--json FILE.json] [--github]\n"
-        "          [--top N]\n",
+        "usage: %s [--stats FILE] [--metrics FILE] [--out FILE.md]\n",
         argv0);
 }
 
@@ -122,9 +97,7 @@ flatten(const json::Value &v, const std::string &prefix,
         return;
     }
     if (v.isBool()) {
-        // Booleans diff as 0/1 so a flipped acceptance flag (e.g. a
-        // replay's identical_results going false) shows up as a 100%
-        // move instead of silently vanishing from the report.
+        // Booleans render as 0/1 rather than vanishing from the table.
         out.push_back({prefix, v.boolean() ? 1.0 : 0.0});
         return;
     }
@@ -138,46 +111,8 @@ flatten(const json::Value &v, const std::string &prefix,
             flatten(v.items()[i], prefix + "[" + std::to_string(i) + "]",
                     out);
     }
-    // Strings/null carry no comparable magnitude.
+    // Strings/null carry no magnitude.
 }
-
-bool
-endsWith(const std::string &s, const char *suffix)
-{
-    std::size_t n = std::strlen(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
-
-/** +1: larger is better; -1: smaller is better; 0: don't gate. */
-int
-direction(const std::string &metric)
-{
-    if (endsWith(metric, "wall_sec") ||
-        endsWith(metric, "wall_ns_per_sim_ms") ||
-        endsWith(metric, "miss_rate") ||
-        endsWith(metric, "bytes_per_record"))
-        return -1;
-    if (endsWith(metric, "_per_sec") || endsWith(metric, "speedup") ||
-        endsWith(metric, "hit_rate") || endsWith(metric, "accuracy") ||
-        endsWith(metric, "coverage") || endsWith(metric, "fraction") ||
-        endsWith(metric, "compression_ratio") ||
-        endsWith(metric, "identical_results"))
-        return 1;
-    return 0;
-}
-
-/** One bench metric compared against the baseline. */
-struct DiffRow
-{
-    std::string metric;
-    double current = 0.0;
-    double baseline = 0.0;
-    double deltaPct = 0.0; //!< signed raw change, percent of baseline
-    bool hasBaseline = false;
-    int dir = 0;
-    bool regressed = false; //!< moved > threshold the wrong way
-    bool improved = false;  //!< moved > threshold the right way
-};
 
 std::string
 fmtNum(double v)
@@ -188,21 +123,9 @@ fmtNum(double v)
     return buf;
 }
 
-std::string
-fmtPct(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%+.2f%%", v);
-    return buf;
-}
-
 struct Options
 {
-    std::string bench, baseline, stats, metrics, profile;
-    std::string outMd, outJson;
-    double regressPct = -1.0; //!< <0: report only, never fail
-    bool github = false;
-    unsigned top = 12;
+    std::string stats, metrics, outMd;
 };
 
 /** metrics CSV column summary. */
@@ -280,34 +203,12 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--bench") {
-            opt.bench = need("--bench");
-        } else if (arg == "--baseline") {
-            opt.baseline = need("--baseline");
-        } else if (arg == "--stats") {
+        if (arg == "--stats") {
             opt.stats = need("--stats");
         } else if (arg == "--metrics") {
             opt.metrics = need("--metrics");
-        } else if (arg == "--profile") {
-            opt.profile = need("--profile");
         } else if (arg == "--out") {
             opt.outMd = need("--out");
-        } else if (arg == "--json") {
-            opt.outJson = need("--json");
-        } else if (arg == "--fail-on-regress") {
-            std::string pct = need("--fail-on-regress");
-            opt.regressPct = std::strtod(pct.c_str(), nullptr);
-            if (opt.regressPct <= 0.0) {
-                std::fprintf(stderr,
-                             "hopp-report: bad --fail-on-regress '%s'\n",
-                             pct.c_str());
-                return 2;
-            }
-        } else if (arg == "--github") {
-            opt.github = true;
-        } else if (arg == "--top") {
-            opt.top = static_cast<unsigned>(
-                std::strtoul(need("--top"), nullptr, 10));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -318,169 +219,13 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (opt.bench.empty() && opt.stats.empty() && opt.metrics.empty() &&
-        opt.profile.empty()) {
+    if (opt.stats.empty() && opt.metrics.empty()) {
         usage(argv[0]);
         return 2;
     }
-    if (!opt.baseline.empty() && opt.bench.empty()) {
-        std::fprintf(stderr,
-                     "hopp-report: --baseline needs --bench to diff\n");
-        return 2;
-    }
-
-    // The gate threshold: when --fail-on-regress is absent, diff with
-    // a 10% marker threshold but never fail.
-    const double thr = opt.regressPct > 0.0 ? opt.regressPct : 10.0;
 
     std::string md;
-    md += "# HoPP performance report\n";
-
-    // ---- Bench + baseline diff ------------------------------------
-    std::vector<DiffRow> rows;
-    bool haveBaseline = false;
-    if (!opt.bench.empty()) {
-        json::Value bench;
-        if (!loadJson(opt.bench, bench))
-            return 2;
-        std::vector<Leaf> cur;
-        flatten(bench, "", cur);
-
-        std::vector<Leaf> base;
-        if (!opt.baseline.empty()) {
-            json::Value bl;
-            if (!loadJson(opt.baseline, bl))
-                return 2;
-            flatten(bl, "", base);
-            haveBaseline = true;
-        }
-
-        for (const Leaf &l : cur) {
-            DiffRow r;
-            r.metric = l.path;
-            r.current = l.value;
-            r.dir = direction(l.path);
-            for (const Leaf &b : base) {
-                if (b.path == l.path) {
-                    r.baseline = b.value;
-                    r.hasBaseline = true;
-                    break;
-                }
-            }
-            if (r.hasBaseline && r.baseline != 0.0) {
-                r.deltaPct = (r.current - r.baseline) /
-                             std::fabs(r.baseline) * 100.0;
-                if (r.dir > 0) {
-                    r.regressed = r.deltaPct < -thr;
-                    r.improved = r.deltaPct > thr;
-                } else if (r.dir < 0) {
-                    r.regressed = r.deltaPct > thr;
-                    r.improved = r.deltaPct < -thr;
-                }
-            }
-            rows.push_back(std::move(r));
-        }
-
-        // Ranked: regressions first, then by |delta|; undiffed rows
-        // keep document order at the bottom.
-        std::stable_sort(rows.begin(), rows.end(),
-                         [](const DiffRow &a, const DiffRow &b) {
-                             if (a.regressed != b.regressed)
-                                 return a.regressed;
-                             if (a.hasBaseline != b.hasBaseline)
-                                 return a.hasBaseline;
-                             return std::fabs(a.deltaPct) >
-                                    std::fabs(b.deltaPct);
-                         });
-
-        md += "\n## Bench: " + opt.bench;
-        if (haveBaseline)
-            md += " vs baseline " + opt.baseline;
-        md += "\n\n";
-        if (haveBaseline)
-            md += "| metric | current | baseline | delta | status |\n"
-                  "|---|---:|---:|---:|---|\n";
-        else
-            md += "| metric | current |\n|---|---:|\n";
-        for (const DiffRow &r : rows) {
-            if (haveBaseline) {
-                const char *status =
-                    !r.hasBaseline        ? "new"
-                    : r.regressed         ? "**REGRESSED**"
-                    : r.improved          ? "improved"
-                    : r.dir == 0          ? "info"
-                                          : "ok";
-                md += "| " + r.metric + " | " + fmtNum(r.current) +
-                      " | " +
-                      (r.hasBaseline ? fmtNum(r.baseline)
-                                     : std::string("-")) +
-                      " | " +
-                      (r.hasBaseline ? fmtPct(r.deltaPct)
-                                     : std::string("-")) +
-                      " | " + status + " |\n";
-            } else {
-                md += "| " + r.metric + " | " + fmtNum(r.current) +
-                      " |\n";
-            }
-        }
-    }
-
-    // ---- Self-profile ---------------------------------------------
-    if (!opt.profile.empty()) {
-        json::Value prof;
-        if (!loadJson(opt.profile, prof))
-            return 2;
-        md += "\n## Self-profile: " + opt.profile + "\n\n";
-        const json::Value *wall = prof.find("wall_ns");
-        const json::Value *frac = prof.find("attributed_fraction");
-        if (wall != nullptr && frac != nullptr) {
-            char line[160];
-            std::snprintf(line, sizeof line,
-                          "wall %.3f ms, %.1f%% attributed to zones\n\n",
-                          wall->number() / 1e6, frac->number() * 100.0);
-            md += line;
-        }
-        const json::Value *zones = prof.find("zones");
-        if (zones != nullptr && zones->isArray()) {
-            // Rank zones by self time, largest first.
-            std::vector<const json::Value *> zs;
-            for (const json::Value &z : zones->items())
-                zs.push_back(&z);
-            auto selfNs = [](const json::Value *z) {
-                const json::Value *s = z->find("self_ns");
-                return s != nullptr ? s->number() : 0.0;
-            };
-            std::stable_sort(zs.begin(), zs.end(),
-                             [&](const json::Value *a,
-                                 const json::Value *b) {
-                                 return selfNs(a) > selfNs(b);
-                             });
-            md += "| zone | self ms | total ms | self % | count |\n"
-                  "|---|---:|---:|---:|---:|\n";
-            const double wallNs =
-                wall != nullptr && wall->number() > 0.0 ? wall->number()
-                                                        : 0.0;
-            unsigned listed = 0;
-            for (const json::Value *z : zs) {
-                if (listed++ >= opt.top)
-                    break;
-                const json::Value *name = z->find("zone");
-                const json::Value *total = z->find("total_ns");
-                const json::Value *count = z->find("count");
-                if (name == nullptr || total == nullptr)
-                    continue;
-                char line[256];
-                std::snprintf(
-                    line, sizeof line,
-                    "| %s | %.3f | %.3f | %.1f%% | %.0f |\n",
-                    name->str().c_str(), selfNs(z) / 1e6,
-                    total->number() / 1e6,
-                    wallNs > 0.0 ? selfNs(z) / wallNs * 100.0 : 0.0,
-                    count != nullptr ? count->number() : 0.0);
-                md += line;
-            }
-        }
-    }
+    md += "# HoPP run report\n";
 
     // ---- Stats ----------------------------------------------------
     if (!opt.stats.empty()) {
@@ -513,67 +258,11 @@ main(int argc, char **argv)
         }
     }
 
-    // ---- Verdict --------------------------------------------------
-    std::vector<const DiffRow *> regressions;
-    for (const DiffRow &r : rows) {
-        if (r.regressed)
-            regressions.push_back(&r);
-    }
-    if (haveBaseline) {
-        char line[128];
-        std::snprintf(line, sizeof line,
-                      "\n%zu regression(s) beyond %.1f%%.\n",
-                      regressions.size(), thr);
-        md += line;
-    }
-
-    if (opt.github) {
-        for (const DiffRow *r : regressions) {
-            std::printf("::warning title=perf-regression::%s moved "
-                        "%s vs baseline (current %s, baseline %s)\n",
-                        r->metric.c_str(), fmtPct(r->deltaPct).c_str(),
-                        fmtNum(r->current).c_str(),
-                        fmtNum(r->baseline).c_str());
-        }
-    }
-
-    if (!opt.outJson.empty()) {
-        std::string js;
-        js += "{\n  \"schema\": \"hopp-report-v1\",\n";
-        char line[256];
-        std::snprintf(line, sizeof line,
-                      "  \"threshold_pct\": %.2f,\n"
-                      "  \"regressions\": [\n",
-                      thr);
-        js += line;
-        for (std::size_t i = 0; i < regressions.size(); ++i) {
-            const DiffRow *r = regressions[i];
-            std::snprintf(line, sizeof line,
-                          "    {\"metric\": \"%s\", \"current\": %.10g, "
-                          "\"baseline\": %.10g, \"delta_pct\": %.4f}%s\n",
-                          r->metric.c_str(), r->current, r->baseline,
-                          r->deltaPct,
-                          i + 1 < regressions.size() ? "," : "");
-            js += line;
-        }
-        js += "  ]\n}\n";
-        if (!writeFile(opt.outJson, js))
-            return 2;
-    }
-
     if (!opt.outMd.empty()) {
         if (!writeFile(opt.outMd, md))
             return 2;
     } else {
         std::fputs(md.c_str(), stdout);
-    }
-
-    if (opt.regressPct > 0.0 && !regressions.empty()) {
-        std::fprintf(stderr,
-                     "hopp-report: %zu metric(s) regressed beyond "
-                     "%.1f%%\n",
-                     regressions.size(), opt.regressPct);
-        return 1;
     }
     return 0;
 }

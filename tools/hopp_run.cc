@@ -8,8 +8,8 @@
  *            [--eviction-advisor] [--seed N] [--dump-hopp] [--list]
  *            [--trace-out FILE] [--trace-jsonl FILE]
  *            [--metrics-out FILE] [--metrics-period NS]
- *            [--stats-json FILE] [--profile-out FILE]
- *            [--blackbox-out FILE] [--inject-corruption N]
+ *            [--stats-json FILE] [--blackbox-out FILE]
+ *            [--inject-corruption N]
  *            [--record-trace FILE] [--mc-stats-json FILE]
  *
  * Examples:
@@ -19,15 +19,16 @@
  *   hopp-run --list
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cli/flags.hh"
 #include "hopp/hopp_system.hh"
-#include "obs/profiler.hh"
 #include "obs/trace_writer.hh"
 #include "runner/machine.hh"
 #include "runner/stats_report.hh"
@@ -75,8 +76,6 @@ usage(const char *argv0)
         "  --metrics-out FILE  write periodic gauge samples as CSV\n"
         "  --metrics-period NS sampling period in simulated ns"
         " (default 100000)\n"
-        "  --profile-out FILE  enable the host self-profiler and write"
-        " its JSON report (sim output is unaffected)\n"
         "  --blackbox-out FILE dump the black-box event ring as JSONL"
         " after the run\n"
         "  --inject-corruption N  test hook: corrupt LLC accounting"
@@ -87,19 +86,6 @@ usage(const char *argv0)
         " (the replay fidelity contract document)\n"
         "  --list              list workloads and exit\n",
         argv0);
-}
-
-SystemKind
-parseSystem(const std::string &name)
-{
-    for (auto kind : {SystemKind::Local, SystemKind::NoPrefetch,
-                      SystemKind::Fastswap, SystemKind::Leap,
-                      SystemKind::Vma, SystemKind::DepthN,
-                      SystemKind::Hopp, SystemKind::HoppOnly}) {
-        if (name == systemName(kind))
-            return kind;
-    }
-    hopp_fatal("unknown system '%s'", name.c_str());
 }
 
 void
@@ -173,9 +159,10 @@ main(int argc, char **argv)
     bool dump_hopp = false;
     bool dump_stats = false;
     std::string trace_out, trace_jsonl, metrics_out, stats_json;
-    std::string profile_out, blackbox_out, mc_stats_json;
+    std::string blackbox_out, mc_stats_json;
     std::vector<unsigned> tier_masks; // every --tiers given, checked
     Duration metrics_period = 100'000; // 100 us of simulated time
+    const std::vector<std::string> known = workloads::knownWorkloadNames();
 
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
@@ -188,9 +175,16 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--workload") {
-            workload_names.push_back(need(i));
+            const char *name = need(i);
+            if (std::find(known.begin(), known.end(), name) == known.end())
+                return cli::rejectName("hopp-run", "--workload", name);
+            workload_names.push_back(name);
         } else if (arg == "--system") {
-            cfg.system = parseSystem(need(i));
+            const char *name = need(i);
+            std::optional<SystemKind> kind = parseSystem(name);
+            if (!kind)
+                return cli::rejectName("hopp-run", "--system", name);
+            cfg.system = *kind;
         } else if (arg == "--ratio") {
             cfg.localMemRatio = std::atof(need(i));
         } else if (arg == "--scale") {
@@ -200,7 +194,7 @@ main(int argc, char **argv)
         } else if (arg == "--depth") {
             cfg.depth = static_cast<unsigned>(std::atoi(need(i)));
         } else if (arg == "--tiers") {
-            cfg.hopp.tierMask = cli::parseTiers(need(i));
+            cfg.hopp.tierMask = cli::parseWhole<unsigned>(need(i));
             tier_masks.push_back(cfg.hopp.tierMask);
         } else if (arg == "--channels") {
             cfg.hopp.channels =
@@ -232,8 +226,6 @@ main(int argc, char **argv)
             trace_jsonl = need(i);
         } else if (arg == "--metrics-out") {
             metrics_out = need(i);
-        } else if (arg == "--profile-out") {
-            profile_out = need(i);
         } else if (arg == "--blackbox-out") {
             blackbox_out = need(i);
         } else if (arg == "--record-trace") {
@@ -244,12 +236,10 @@ main(int argc, char **argv)
             cfg.corruptAfterEvents =
                 static_cast<std::uint64_t>(std::atoll(need(i)));
         } else if (arg == "--metrics-period") {
-            metrics_period =
-                static_cast<Duration>(std::atoll(need(i)));
+            metrics_period = cli::parseWhole<Duration>(need(i));
         } else if (arg == "--list") {
-            for (const auto &n : workloads::allWorkloadNames())
+            for (const auto &n : known)
                 std::printf("%s\n", n.c_str());
-            std::printf("microbench\nlinkedlist\n");
             return 0;
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
@@ -265,7 +255,8 @@ main(int argc, char **argv)
                                   .scale = scale.footprint,
                                   .iterations = scale.iterations,
                                   .channels = cfg.hopp.channels,
-                                  .tiers = tier_masks}))
+                                  .tiers = tier_masks,
+                                  .metricsPeriod = metrics_period}))
         return rc;
     if (workload_names.empty())
         workload_names.push_back("kmeans-omp");
@@ -273,11 +264,6 @@ main(int argc, char **argv)
         cfg.trace = true;
     if (!metrics_out.empty())
         cfg.metricsPeriod = metrics_period;
-    // Host-side only: profiling changes no simulated behaviour, so
-    // enabling it must leave every sim artifact byte-identical (the
-    // profiler_on_off ctest holds us to that).
-    if (!profile_out.empty())
-        obs::prof::enable(true);
 
     Machine machine(cfg);
     for (std::size_t i = 0; i < workload_names.size(); ++i) {
@@ -342,10 +328,6 @@ main(int argc, char **argv)
     if (!metrics_out.empty()) {
         io_ok &= obs::writeFile(metrics_out,
                                 machine.metricsSampler()->toCsv());
-    }
-    if (!profile_out.empty()) {
-        io_ok &= obs::writeFile(profile_out,
-                                obs::prof::toJson(obs::prof::collect()));
     }
     if (!blackbox_out.empty())
         io_ok &= machine.dumpForensics(blackbox_out);

@@ -23,9 +23,11 @@
  *   hopp-sweep --workload microbench --scale 0.2 --out sweep.json
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,19 +61,6 @@ usage(const char *argv0)
         "  --out FILE       write the document to FILE (default"
         " stdout)\n",
         argv0);
-}
-
-SystemKind
-parseSystem(const std::string &name)
-{
-    for (auto kind : {SystemKind::Local, SystemKind::NoPrefetch,
-                      SystemKind::Fastswap, SystemKind::Leap,
-                      SystemKind::Vma, SystemKind::DepthN,
-                      SystemKind::Hopp, SystemKind::HoppOnly}) {
-        if (name == systemName(kind))
-            return kind;
-    }
-    hopp_fatal("unknown system '%s'", name.c_str());
 }
 
 /** One cell of the cross product. */
@@ -150,6 +139,7 @@ main(int argc, char **argv)
     std::uint64_t seed = 42;
     unsigned jobs = 1;
     std::string out_path;
+    const std::vector<std::string> known = workloads::knownWorkloadNames();
 
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc) {
@@ -162,9 +152,16 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--workload") {
-            workload_names.push_back(need(i));
+            const char *name = need(i);
+            if (std::find(known.begin(), known.end(), name) == known.end())
+                return cli::rejectName("hopp-sweep", "--workload", name);
+            workload_names.push_back(name);
         } else if (arg == "--system") {
-            systems.push_back(parseSystem(need(i)));
+            const char *name = need(i);
+            std::optional<SystemKind> kind = parseSystem(name);
+            if (!kind)
+                return cli::rejectName("hopp-sweep", "--system", name);
+            systems.push_back(*kind);
         } else if (arg == "--ratio") {
             std::string text = need(i);
             ratios.emplace_back(text, std::atof(text.c_str()));
