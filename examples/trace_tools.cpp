@@ -1,19 +1,20 @@
 /**
  * @file
- * HMTT trace tooling (§V): capture a full MC access trace of a running
- * workload with the bump-in-the-wire tracer emulation, persist it in
- * the binary trace format, reload it, and run the paper's §VI-D style
- * offline analysis (stride census over the page-level read trace).
+ * Trace tooling (§V): record the full MC access trace of a running
+ * workload through the MC tap (MachineConfig::recordTracePath, the
+ * replay container hopp-replay reads), read it back with TraceReader,
+ * and run the paper's §VI-D style offline analysis (stride census over
+ * the page-level read trace).
  */
 
 #include <cstdio>
+#include <iterator>
 #include <map>
-#include <vector>
+#include <string>
 
 #include "runner/machine.hh"
 #include "stats/table.hh"
-#include "trace/hmtt.hh"
-#include "trace/trace_io.hh"
+#include "trace/trace_file.hh"
 
 using namespace hopp;
 using namespace hopp::runner;
@@ -21,66 +22,66 @@ using namespace hopp::runner;
 int
 main()
 {
-    // 1. Build the machine, attach the tracer to the MC *before* the
-    //    workload starts, then run.
+    // 1. Record: the MC tap persists every MC access (plus the PTE
+    //    events replay needs) while the workload runs. The trace goes
+    //    to the working directory and is removed at the end.
+    const std::string path = "trace_tools_npb_mg.trc";
     MachineConfig cfg;
     cfg.system = SystemKind::NoPrefetch;
     cfg.localMemRatio = 0.5;
+    cfg.recordTracePath = path;
     Machine m(cfg);
     m.addWorkload(workloads::makeWorkload("npb-mg", {}));
-    m.prepare();
-
-    trace::HmttConfig hcfg;
-    hcfg.ringCapacity = 1 << 22;
-    trace::Hmtt tracer(m.dram(), hcfg);
-    m.memCtrl().attach(&tracer);
     m.run();
-
-    // 2. Drain the ring to a binary trace file, as the prototype
-    //    persists HMTT traces for offline study.
-    std::vector<trace::HmttRecord> records;
-    while (auto r = tracer.ring().pop())
-        records.push_back(*r);
-    const std::string path = "/tmp/hopp_npb_mg.trace";
-    if (!trace::writeTraceFile(path, records)) {
+    if (!m.traceRecordOk()) {
         std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        std::remove(path.c_str());
         return 1;
     }
-    std::printf("captured %llu MC accesses (%llu dropped by the ring),"
-                " wrote %zu records to %s\n",
-                static_cast<unsigned long long>(tracer.captured()),
-                static_cast<unsigned long long>(
-                    tracer.ring().dropped()),
-                records.size(), path.c_str());
 
-    // 3. Reload and analyse: page-level stride census of READ misses,
+    // 2. Read back and analyse: page-level stride census of READ misses,
     //    the raw material of the paper's stream-pattern taxonomy.
-    std::vector<trace::HmttRecord> loaded;
-    if (auto st = trace::readTraceFile(path, loaded);
-        st != trace::TraceIoStatus::Ok) {
+    trace::TraceReader reader;
+    trace::TraceIoStatus st = reader.open(path);
+    std::map<std::int64_t, std::uint64_t> stride_census;
+    std::uint64_t accesses = 0;
+    std::uint64_t reads = 0;
+    Ppn last{};
+    bool have_last = false;
+    trace::ReplayRecord batch[256];
+    while (std::size_t n = reader.nextBatch(batch, std::size(batch))) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const trace::ReplayRecord &rec = batch[i];
+            if (rec.kind != trace::ReplayKind::Mc)
+                continue;
+            ++accesses;
+            if (rec.isWrite)
+                continue;
+            ++reads;
+            Ppn ppn = pageOf(rec.pa);
+            if (have_last && ppn != last) {
+                std::int64_t stride = signedDelta(last, ppn);
+                if (stride >= -8 && stride <= 8)
+                    ++stride_census[stride];
+                else
+                    ++stride_census[stride < 0 ? -9 : 9]; // |s| > 8
+            }
+            last = ppn;
+            have_last = true;
+        }
+    }
+    if (st == trace::TraceIoStatus::Ok)
+        st = reader.status();
+    std::remove(path.c_str());
+    if (st != trace::TraceIoStatus::Ok) {
         std::fprintf(stderr, "cannot read %s back: %s\n", path.c_str(),
                      trace::traceIoStatusName(st));
         return 1;
     }
-    std::map<std::int64_t, std::uint64_t> stride_census;
-    std::uint64_t reads = 0;
-    Ppn last{};
-    bool have_last = false;
-    for (const auto &rec : loaded) {
-        if (rec.isWrite)
-            continue;
-        ++reads;
-        Ppn ppn = rec.ppn();
-        if (have_last && ppn != last) {
-            std::int64_t stride = signedDelta(last, ppn);
-            if (stride >= -8 && stride <= 8)
-                ++stride_census[stride];
-            else
-                ++stride_census[stride < 0 ? -9 : 9]; // |s| > 8 bucket
-        }
-        last = ppn;
-        have_last = true;
-    }
+    std::printf("recorded %llu MC accesses (%llu trace records) to %s\n",
+                static_cast<unsigned long long>(accesses),
+                static_cast<unsigned long long>(reader.recordsDecoded()),
+                path.c_str());
 
     stats::Table table("Page-stride census of the NPB-MG read trace");
     table.header({"stride", "count", "share"});
@@ -99,6 +100,5 @@ main()
               " exploits. Physical-address strides are noisier than"
               " virtual ones — which is exactly why HoPP adds the"
               " reverse page table.");
-    std::remove(path.c_str());
     return 0;
 }

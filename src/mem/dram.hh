@@ -33,7 +33,6 @@ enum class TrafficSource : unsigned
     HotPageWrite,    //!< HPD writing (PID, VPN) combos to the ring
     RptQuery,        //!< RPT cache misses reading the DRAM RPT
     RptUpdate,       //!< RPT cache dirty write-backs to the DRAM RPT
-    TraceWrite,      //!< HMTT writing raw trace records (prototype mode)
     NumSources,
 };
 

@@ -5,8 +5,9 @@
  * The MC receives LLC-miss transactions and forwards read misses to any
  * attached hardware observers — this is exactly the tap point the paper
  * modifies: HoPP's Hot Page Detection module consumes MC read traffic
- * (§III-B), and the HMTT prototype emulates the same tap as a
- * bump-in-the-wire (§V).
+ * (§III-B), and runner::TraceRecorder persists the same feed for
+ * offline replay (the role the HMTT DIMM tracer plays in the §V
+ * prototype).
  */
 
 #pragma once
@@ -22,8 +23,8 @@ namespace hopp::mem
 {
 
 /**
- * Anything that wants to see MC-level traffic (HPD hardware, HMTT
- * tracer) implements this interface and attaches to the MemCtrl.
+ * Anything that wants to see MC-level traffic (HPD hardware, the trace
+ * recorder) implements this interface and attaches to the MemCtrl.
  */
 class McObserver
 {

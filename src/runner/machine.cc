@@ -180,7 +180,7 @@ Machine::build()
         hoppSystem_->start();
 
     if (!cfg_.recordTracePath.empty()) {
-        // The HMTT tap persisted: snapshot the page table exactly when
+        // The MC tap persisted: snapshot the page table exactly when
         // HoppSystem::start() walked it (just above), then observe the
         // same MC access and PTE event feeds the pipeline consumes.
         traceWriter_ = std::make_unique<trace::TraceWriter>(

@@ -195,7 +195,7 @@ class Machine
 
     /**
      * Construct all components without running, so callers can attach
-     * extra observers (e.g. an HMTT tap on the memory controller)
+     * extra observers (e.g. an McObserver on the memory controller)
      * before the first application event. Idempotent; run() calls it.
      */
     void prepare();

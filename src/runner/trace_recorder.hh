@@ -1,7 +1,8 @@
 /**
  * @file
- * Trace recorder: the HMTT bump-in-the-wire tap (§V) persisted to the
- * blocked replay format. Attached to the memory controller and the
+ * Trace recorder: the MC tap persisted to the blocked replay format
+ * (the role the HMTT DIMM tracer plays in the §V prototype), and the
+ * only MC-side recorder. Attached to the memory controller and the
  * VMS PTE hooks exactly where HoppSystem attaches, it captures the
  * complete input stream the MC-side pipeline consumes — every MC
  * access plus every RPT-relevant page-table event — in file order =

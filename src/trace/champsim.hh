@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <string>
 
-#include "trace/trace_io.hh"
+#include "trace/trace_file.hh"
 
 namespace hopp::trace
 {

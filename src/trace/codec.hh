@@ -46,7 +46,7 @@ namespace hopp::trace
 /** What one replay record describes. */
 enum class ReplayKind : std::uint8_t
 {
-    /** A memory-controller access (the HMTT tap). */
+    /** A memory-controller access (the MC tap). */
     Mc = 0,
     /** set_pte_at: a mapping appeared or changed. */
     PteSet = 1,

@@ -1,9 +1,9 @@
 /**
  * @file
- * Ring buffer in "reserved DRAM" carrying trace records from the
- * tracer hardware to consuming software (the prototype writes HMTT
- * records to DRAM 1 via PCIe + DMA, §V). Bounded: when software lags,
- * the hardware drops records and counts them.
+ * Ring buffer in "reserved DRAM" carrying records from the MC-side
+ * hardware to consuming software: HPD's hot-page ring (step 2 of
+ * Figure 4, core::HotPageRing). Bounded: when software lags, the
+ * hardware drops records and counts them.
  */
 
 #pragma once

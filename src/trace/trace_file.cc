@@ -1,6 +1,3 @@
-// Trace container framing is a designated raw boundary.
-// hopp-analyze: allow-file(raw, page-shift)
-
 #include "trace/trace_file.hh"
 
 #include <algorithm>
@@ -13,6 +10,9 @@ namespace
 {
 
 constexpr char traceMagic[8] = {'H', 'O', 'P', 'P', 'T', 'R', 'C', '1'};
+
+/** The one codec: delta + zigzag + varint ReplayRecords. */
+constexpr std::uint32_t deltaCodec = 0;
 
 struct FileHeader
 {
@@ -29,14 +29,31 @@ struct BlockHeader
 };
 static_assert(sizeof(BlockHeader) == 8);
 
-constexpr std::size_t rawRecordBytes = 16;
-
-/** Largest payload any legal block can carry, across both codecs. */
+/** Largest payload any legal block can carry. */
 constexpr std::size_t maxBlockPayload =
-    static_cast<std::size_t>(maxBlockRecords) *
-    std::max(maxEncodedRecordBytes, rawRecordBytes);
+    static_cast<std::size_t>(maxBlockRecords) * maxEncodedRecordBytes;
 
 } // namespace
+
+const char *
+traceIoStatusName(TraceIoStatus s)
+{
+    switch (s) {
+      case TraceIoStatus::Ok:
+        return "ok";
+      case TraceIoStatus::OpenFailed:
+        return "open failed";
+      case TraceIoStatus::WriteFailed:
+        return "write failed";
+      case TraceIoStatus::BadHeader:
+        return "bad header";
+      case TraceIoStatus::Truncated:
+        return "truncated";
+      case TraceIoStatus::Corrupt:
+        return "corrupt";
+    }
+    return "unknown";
+}
 
 // ---------------------------------------------------------------- writer
 
@@ -52,11 +69,11 @@ TraceWriter::TraceWriter(const std::string &path, Options opt)
     FileHeader h{};
     std::memcpy(h.magic, traceMagic, sizeof(traceMagic));
     h.version = traceFormatVersion;
-    h.codec = static_cast<std::uint32_t>(opt_.codec);
+    h.codec = deltaCodec;
     put(&h, sizeof(h));
     // One reservation covers the worst-case block; append never grows.
     block_.reserve(static_cast<std::size_t>(opt_.blockRecords) *
-                   std::max(maxEncodedRecordBytes, rawRecordBytes));
+                   maxEncodedRecordBytes);
 }
 
 TraceWriter::~TraceWriter()
@@ -81,37 +98,7 @@ TraceWriter::append(const ReplayRecord &r)
 {
     if (!file_)
         return;
-    if (opt_.codec == TraceCodec::Raw16) {
-        if (r.kind != ReplayKind::Mc) {
-            ++pteDropped_;
-            return;
-        }
-        HmttRecord raw;
-        raw.seq = rawSeq_++;
-        raw.timestamp = static_cast<std::uint8_t>(r.tick.raw() / 100);
-        raw.isWrite = r.isWrite;
-        raw.addr29 = toAddr29(r.pa);
-        raw.fullTime = r.tick;
-        raw.fullAddr = r.pa;
-        appendRaw(raw);
-        return;
-    }
     encodeRecord(block_, delta_, r);
-    ++records_;
-    if (++blockCount_ >= opt_.blockRecords)
-        flushBlock();
-}
-
-void
-TraceWriter::appendRaw(const HmttRecord &r)
-{
-    hopp_assert(opt_.codec == TraceCodec::Raw16,
-                "appendRaw requires the Raw16 codec");
-    if (!file_)
-        return;
-    std::uint64_t words[2] = {r.pack(), r.fullTime.raw()};
-    const auto *bytes = reinterpret_cast<const std::uint8_t *>(words);
-    block_.insert(block_.end(), bytes, bytes + sizeof(words));
     ++records_;
     if (++blockCount_ >= opt_.blockRecords)
         flushBlock();
@@ -172,11 +159,9 @@ TraceReader::open(const std::string &path)
     if (std::fread(&h, sizeof(h), 1, file_) != 1)
         return status_ = TraceIoStatus::BadHeader;
     if (std::memcmp(h.magic, traceMagic, sizeof(traceMagic)) != 0 ||
-        h.version != traceFormatVersion ||
-        h.codec > static_cast<std::uint32_t>(TraceCodec::Raw16)) {
+        h.version != traceFormatVersion || h.codec != deltaCodec) {
         return status_ = TraceIoStatus::BadHeader;
     }
-    codec_ = static_cast<TraceCodec>(h.codec);
     // The one allocation: size the block buffer for the worst legal
     // block, so the decode loop below never grows anything.
     buf_.resize(maxBlockPayload);
@@ -198,13 +183,8 @@ TraceReader::loadBlock()
         status_ = TraceIoStatus::Truncated;
         return false;
     }
-    std::size_t per = codec_ == TraceCodec::Raw16
-                          ? rawRecordBytes
-                          : maxEncodedRecordBytes;
     if (bh.nRecords == 0 || bh.nRecords > maxBlockRecords ||
-        bh.payloadBytes > bh.nRecords * per ||
-        (codec_ == TraceCodec::Raw16 &&
-         bh.payloadBytes != bh.nRecords * rawRecordBytes)) {
+        bh.payloadBytes > bh.nRecords * maxEncodedRecordBytes) {
         status_ = TraceIoStatus::Corrupt;
         return false;
     }
@@ -237,23 +217,7 @@ TraceReader::nextBatch(ReplayRecord *out, std::size_t max)
             if (!loadBlock())
                 return n;
         }
-        ReplayRecord &r = out[n];
-        if (codec_ == TraceCodec::Raw16) {
-            std::uint64_t words[2];
-            std::memcpy(words, pos_, sizeof(words));
-            pos_ += sizeof(words);
-            HmttRecord raw = HmttRecord::unpack(words[0]);
-            r.kind = ReplayKind::Mc;
-            r.isWrite = raw.isWrite;
-            r.shared = false;
-            r.huge = false;
-            r.pid = Pid{};
-            r.vpn = Vpn{};
-            r.ppn = Ppn{};
-            r.pa = PhysAddr{static_cast<std::uint64_t>(raw.addr29)
-                            << lineShift};
-            r.tick = Tick{words[1]};
-        } else if (!decodeRecord(pos_, end_, delta_, r)) {
+        if (!decodeRecord(pos_, end_, delta_, out[n])) {
             status_ = TraceIoStatus::Corrupt;
             return n;
         }

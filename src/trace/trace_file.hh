@@ -7,12 +7,10 @@
  *   file header (16 B):  magic "HOPPTRC1" | u32 version | u32 codec
  *   block*:              u32 nRecords | u32 payloadBytes | payload
  *
- * Codec Delta packs ReplayRecords with the delta+zigzag+varint record
- * codec (codec.hh); encoder state resets at each block, so blocks
- * decode independently and a reader can seek by skipping whole blocks.
- * Codec Raw16 stores the legacy 16-byte HmttRecord wire pairs
- * (pack() + full timestamp) unchanged — the §V hardware format kept as
- * a fallback for tools that speak only HMTT records.
+ * The codec field is always 0: payloads pack ReplayRecords with the
+ * delta+zigzag+varint record codec (codec.hh). Encoder state resets at
+ * each block, so blocks decode independently and a reader can seek by
+ * skipping whole blocks.
  *
  * TraceWriter streams records out block by block; TraceReader's
  * nextBatch decode loop is allocation-free (all buffers are sized once
@@ -27,20 +25,32 @@
 #include <vector>
 
 #include "trace/codec.hh"
-#include "trace/record.hh"
-#include "trace/trace_io.hh"
 
 namespace hopp::trace
 {
 
-/** Payload encoding of a trace file's blocks. */
-enum class TraceCodec : std::uint32_t
+/**
+ * Outcome of a trace file operation. Distinguishes "the file has no
+ * records" (Ok, empty output) from "the file could not be opened or is
+ * damaged" — callers must branch on the status, not the record count.
+ */
+enum class TraceIoStatus
 {
-    /** Delta + zigzag + varint ReplayRecords (the default). */
-    Delta = 0,
-    /** Raw 16-byte HmttRecord pairs (MC accesses only). */
-    Raw16 = 1,
+    Ok = 0,
+    /** fopen failed (missing file, permissions, bad path). */
+    OpenFailed,
+    /** fwrite/fclose failed (disk full, IO error). */
+    WriteFailed,
+    /** File magic/version/codec field is not a trace file's. */
+    BadHeader,
+    /** File ends mid-record or mid-block. */
+    Truncated,
+    /** Structurally valid framing but undecodable payload. */
+    Corrupt,
 };
+
+/** Human-readable name of @p s for error messages. */
+const char *traceIoStatusName(TraceIoStatus s);
 
 /** Trace container format version this build reads and writes. */
 inline constexpr std::uint32_t traceFormatVersion = 1;
@@ -58,7 +68,6 @@ class TraceWriter
   public:
     struct Options
     {
-        TraceCodec codec = TraceCodec::Delta;
         /** Records per block (clamped to [1, maxBlockRecords]). */
         std::uint32_t blockRecords = 4096;
     };
@@ -76,14 +85,8 @@ class TraceWriter
     /** False once any open/write failure happened. */
     bool ok() const { return ok_; }
 
-    /**
-     * Append one replay record. Under Raw16, PTE records cannot be
-     * represented and are dropped (counted in pteDropped()).
-     */
+    /** Append one replay record. */
     void append(const ReplayRecord &r);
-
-    /** Append a pre-built HMTT record (Raw16 codec only). */
-    void appendRaw(const HmttRecord &r);
 
     /** Flush the tail block and close. @return ok(). Idempotent. */
     bool finish();
@@ -93,9 +96,6 @@ class TraceWriter
 
     /** Bytes written so far, headers included. */
     std::uint64_t bytesWritten() const { return bytesWritten_; }
-
-    /** PTE records dropped by the Raw16 codec. */
-    std::uint64_t pteDropped() const { return pteDropped_; }
 
   private:
     void flushBlock();
@@ -108,8 +108,6 @@ class TraceWriter
     std::uint32_t blockCount_ = 0;
     std::uint64_t records_ = 0;
     std::uint64_t bytesWritten_ = 0;
-    std::uint64_t pteDropped_ = 0;
-    std::uint8_t rawSeq_ = 0;
     bool ok_ = false;
     bool finished_ = false;
 };
@@ -141,9 +139,6 @@ class TraceReader
     /** Ok while healthy (including at clean EOF); sticky on error. */
     TraceIoStatus status() const { return status_; }
 
-    /** Codec of the open file. */
-    TraceCodec codec() const { return codec_; }
-
     /**
      * Skip @p n whole blocks without decoding them. Valid only at a
      * block boundary (before any nextBatch, or after a block drained
@@ -159,7 +154,6 @@ class TraceReader
 
     std::FILE *file_ = nullptr;
     TraceIoStatus status_ = TraceIoStatus::OpenFailed;
-    TraceCodec codec_ = TraceCodec::Delta;
     std::vector<std::uint8_t> buf_;
     const std::uint8_t *pos_ = nullptr;
     const std::uint8_t *end_ = nullptr;

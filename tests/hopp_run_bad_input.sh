@@ -3,7 +3,7 @@
 # hopp-replay share, and of the --workload and --system names. Every
 # bad input must exit with status exactly 2 and print one stderr line
 # naming the flag; the in-range edges (--ratio 1, --channels 2,
-# --tiers 15) and a short --metrics-period must still run.
+# --tiers 15, --pid 65535) and a short --metrics-period must still run.
 #
 # usage: sh tests/hopp_run_bad_input.sh HOPP_RUN HOPP_SWEEP HOPP_REPLAY
 run=$1
@@ -70,6 +70,26 @@ done
 # A bad mask anywhere in a repeated --tiers grid axis is rejected.
 expect_reject "$replay" --trace "$tmp/t.trc" --out "$tmp/r.json" \
     --tiers 7 --tiers 0
+for args in "--threshold 0" "--threshold -1" "--threshold abc"; do
+    # shellcheck disable=SC2086
+    expect_reject "$replay" --trace "$tmp/t.trc" --out "$tmp/r.json" $args
+done
+# Likewise a bad value anywhere in a repeated --threshold axis.
+expect_reject "$replay" --trace "$tmp/t.trc" --out "$tmp/r.json" \
+    --threshold 4 --threshold 0
+
+# The ChampSim importer's --pid must fit the RPT's 16-bit field and
+# --tick-per-instr must be a whole number >= 1. The input is one
+# 64-byte instruction that loads from 0x1000, so an unchecked pid of
+# 70000 would reach Pid's range assert (an abort, 134) in the importer.
+{ head -c 33 /dev/zero; printf '\020'; head -c 30 /dev/zero; } \
+    > "$tmp/load.champsim"
+for args in "--pid 0" "--pid 70000" "--pid abc" \
+            "--tick-per-instr 0" "--tick-per-instr abc"; do
+    # shellcheck disable=SC2086
+    expect_reject "$replay" --import-champsim "$tmp/load.champsim" \
+        --trace "$tmp/imp.trc" $args
+done
 
 # shellcheck disable=SC2086
 if ! "$run" $small --ratio 1 >/dev/null; then
@@ -101,4 +121,17 @@ if ! "$replay" --trace "$tmp/t.trc" --tiers 1 --tiers 15 \
     echo "FAIL: hopp-replay --tiers 1 --tiers 15 must be accepted"
     fail=1
 fi
+if ! "$replay" --trace "$tmp/t.trc" --threshold 4 --out "$tmp/r.json"; then
+    echo "FAIL: hopp-replay --threshold 4 must be accepted"
+    fail=1
+fi
+head -c 64 /dev/zero > "$tmp/zero.champsim"
+for input in zero load; do
+    if ! "$replay" --import-champsim "$tmp/$input.champsim" \
+            --trace "$tmp/imp.trc" --pid 65535 >/dev/null; then
+        echo "FAIL: hopp-replay --import-champsim $input.champsim" \
+             "--pid 65535 must be accepted"
+        fail=1
+    fi
+done
 exit $fail

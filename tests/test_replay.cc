@@ -1,7 +1,7 @@
 /**
  * @file
  * Record->replay fidelity tests (DESIGN.md §15): a live run recorded
- * through the HMTT tap and replayed through ReplayEngine must
+ * through the MC tap and replayed through ReplayEngine must
  * reproduce the MC-side pipeline statistics byte for byte, for both
  * hopp system flavours; the error statuses of the reader propagate
  * through the engine.

@@ -1,51 +1,14 @@
 /**
  * @file
- * Unit tests for the HMTT emulation: record packing, ring buffer
- * semantics, the MC tap, bandwidth accounting, and trace file IO.
+ * Unit tests for the reserved-DRAM ring buffer (HPD's hot-page ring):
+ * FIFO order, drop-on-full accounting and wraparound.
  */
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
+#include "trace/trace_buffer.hh"
 
-#include <cstdio>
-
-#include "trace/hmtt.hh"
-#include "trace/trace_io.hh"
-
-using namespace hopp;
 using namespace hopp::trace;
-
-TEST(HmttRecord, PackUnpackRoundTrips)
-{
-    HmttRecord r;
-    r.seq = 0xAB;
-    r.timestamp = 0xCD;
-    r.isWrite = true;
-    r.addr29 = (1u << 29) - 5;
-    HmttRecord u = HmttRecord::unpack(r.pack());
-    EXPECT_EQ(u.seq, r.seq);
-    EXPECT_EQ(u.timestamp, r.timestamp);
-    EXPECT_EQ(u.isWrite, r.isWrite);
-    EXPECT_EQ(u.addr29, r.addr29);
-}
-
-TEST(HmttRecord, PpnDerivesFromAddr29)
-{
-    HmttRecord r;
-    r.addr29 = toAddr29(pageBase(Ppn{7}) + 3 * lineBytes);
-    EXPECT_EQ(r.ppn(), Ppn{7});
-}
-
-TEST(HmttRecord, PackIs46Bits)
-{
-    HmttRecord r;
-    r.seq = 0xFF;
-    r.timestamp = 0xFF;
-    r.isWrite = true;
-    r.addr29 = (1u << 29) - 1;
-    EXPECT_LT(r.pack(), 1ull << 46);
-}
 
 TEST(RingBufferT, PushPopFifo)
 {
@@ -74,106 +37,4 @@ TEST(RingBufferT, WrapsAround)
     EXPECT_EQ(*ring.pop(), 3);
     EXPECT_EQ(*ring.pop(), 4);
     EXPECT_EQ(ring.pushed(), 4u);
-}
-
-TEST(HmttTap, RecordsMcTraffic)
-{
-    mem::Dram dram(16);
-    mem::MemCtrl mc(dram);
-    Hmtt hmtt(dram);
-    mc.attach(&hmtt);
-    mc.demandRead(pageBase(Ppn{3}) + 64, Tick{1000});
-    mc.writeback(pageBase(Ppn{4}), Tick{2000});
-    EXPECT_EQ(hmtt.captured(), 2u);
-    auto r1 = hmtt.ring().pop();
-    ASSERT_TRUE(r1.has_value());
-    EXPECT_FALSE(r1->isWrite);
-    EXPECT_EQ(r1->ppn(), Ppn{3});
-    EXPECT_EQ(r1->fullTime, Tick{1000});
-    auto r2 = hmtt.ring().pop();
-    ASSERT_TRUE(r2.has_value());
-    EXPECT_TRUE(r2->isWrite);
-}
-
-TEST(HmttTap, ChargesTraceWriteBandwidth)
-{
-    mem::Dram dram(16);
-    mem::MemCtrl mc(dram);
-    Hmtt hmtt(dram);
-    mc.attach(&hmtt);
-    for (int i = 0; i < 10; ++i)
-        mc.demandRead(PhysAddr{i * lineBytes}, Tick{});
-    EXPECT_EQ(dram.traffic(mem::TrafficSource::TraceWrite), 80u);
-}
-
-TEST(HmttTap, SequenceNumbersWrapContinuously)
-{
-    mem::Dram dram(16);
-    mem::MemCtrl mc(dram);
-    HmttConfig cfg;
-    cfg.ringCapacity = 1 << 12;
-    Hmtt hmtt(dram, cfg);
-    mc.attach(&hmtt);
-    for (int i = 0; i < 300; ++i)
-        mc.demandRead(PhysAddr{}, Tick{});
-    std::uint8_t expect = 0;
-    while (auto r = hmtt.ring().pop())
-        EXPECT_EQ(r->seq, expect++);
-}
-
-TEST(TraceIo, WriteReadRoundTrip)
-{
-    std::vector<HmttRecord> recs;
-    for (int i = 0; i < 100; ++i) {
-        HmttRecord r;
-        r.seq = static_cast<std::uint8_t>(i);
-        r.isWrite = i % 3 == 0;
-        r.addr29 = toAddr29(
-            pageBase(Ppn{static_cast<std::uint64_t>(i)}) +
-            (i % 64) * lineBytes);
-        r.fullTime = Tick{static_cast<std::uint64_t>(i) * 123};
-        recs.push_back(r);
-    }
-    std::string path = ::testing::TempDir() + "/hopp_trace_test.bin";
-    ASSERT_TRUE(writeTraceFile(path, recs));
-    std::vector<HmttRecord> back;
-    ASSERT_EQ(readTraceFile(path, back), TraceIoStatus::Ok);
-    ASSERT_EQ(back.size(), recs.size());
-    for (std::size_t i = 0; i < recs.size(); ++i) {
-        EXPECT_EQ(back[i].seq, recs[i].seq);
-        EXPECT_EQ(back[i].isWrite, recs[i].isWrite);
-        EXPECT_EQ(back[i].addr29, recs[i].addr29);
-        EXPECT_EQ(back[i].fullTime, recs[i].fullTime);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MissingFileReportsOpenFailure)
-{
-    std::vector<HmttRecord> out;
-    EXPECT_EQ(readTraceFile("/nonexistent/zzz.bin", out),
-              TraceIoStatus::OpenFailed);
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(TraceIo, EmptyFileIsOkAndEmpty)
-{
-    std::string path = ::testing::TempDir() + "/hopp_trace_empty.bin";
-    ASSERT_TRUE(writeTraceFile(path, {}));
-    std::vector<HmttRecord> out;
-    EXPECT_EQ(readTraceFile(path, out), TraceIoStatus::Ok);
-    EXPECT_TRUE(out.empty());
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, PartialRecordReportsTruncation)
-{
-    std::vector<HmttRecord> recs(3);
-    std::string path = ::testing::TempDir() + "/hopp_trace_trunc.bin";
-    ASSERT_TRUE(writeTraceFile(path, recs));
-    ASSERT_EQ(::truncate(path.c_str(), 3 * 16 - 5), 0);
-    std::vector<HmttRecord> out;
-    EXPECT_EQ(readTraceFile(path, out), TraceIoStatus::Truncated);
-    EXPECT_EQ(out.size(), 2u); // the complete prefix is still returned
-    std::remove(path.c_str());
 }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Replay-trace codec tests: varint/zigzag edge values, delta sign
- * changes, randomized full round trips, the raw HMTT fallback with
- * 8-bit sequence wraparound, truncated/corrupt file rejection, and
- * block-boundary resume (seekability).
+ * changes, randomized full round trips, the container's header
+ * contract (codec field 0 only; an empty trace is ok and empty),
+ * truncated/corrupt file rejection, and block-boundary resume
+ * (seekability).
  */
 
 #include <gtest/gtest.h>
@@ -212,72 +213,48 @@ TEST(TraceCodec, RandomizedRoundTrip)
         expectEqualRecords(in[i], out[i], i);
 }
 
-TEST(TraceCodec, RawFallbackPreservesHmttWireFieldsAcrossSeqWrap)
+TEST(TraceCodec, NonDeltaCodecFieldIsBadHeader)
 {
-    // 600 records: the 8-bit HMTT sequence number wraps twice.
-    std::string path = tmpPath("hopp_codec_raw.htrc");
-    TraceWriter::Options opt;
-    opt.codec = TraceCodec::Raw16;
-    opt.blockRecords = 100;
-    std::vector<HmttRecord> in;
+    // The header's codec field (bytes 12..15) must be 0; 1 is what the
+    // retired raw 16-byte codec stamped. Flip only that field of a
+    // valid trace and the reader must refuse it at open.
+    std::string path = tmpPath("hopp_codec_field.htrc");
     {
-        TraceWriter w(path, opt);
-        for (int i = 0; i < 600; ++i) {
-            HmttRecord r;
-            r.seq = static_cast<std::uint8_t>(i);
-            r.timestamp = static_cast<std::uint8_t>(i / 3);
-            r.isWrite = i % 5 == 0;
-            r.addr29 = toAddr29(pageBase(
-                Ppn{static_cast<std::uint64_t>(i) * 7 % (1 << 17)}));
-            r.fullTime = Tick{static_cast<std::uint64_t>(i) * 100};
-            in.push_back(r);
-            w.appendRaw(r);
-        }
+        TraceWriter w(path);
+        ReplayRecord r;
+        r.pa = pageBase(Ppn{17});
+        r.tick = Tick{300};
+        w.append(r);
         ASSERT_TRUE(w.finish());
-        // 16 B framing + block headers: no compression in raw mode.
-        EXPECT_GE(w.bytesWritten(), 600u * 16);
     }
     TraceReader reader;
     ASSERT_EQ(reader.open(path), TraceIoStatus::Ok);
-    EXPECT_EQ(reader.codec(), TraceCodec::Raw16);
-    auto out = readAll(reader);
-    ASSERT_EQ(reader.status(), TraceIoStatus::Ok);
-    ASSERT_EQ(out.size(), in.size());
-    std::uint8_t expect_seq = 0;
-    for (std::size_t i = 0; i < in.size(); ++i) {
-        EXPECT_EQ(in[i].seq, expect_seq++); // wraps at 256, 512
-        EXPECT_EQ(out[i].kind, ReplayKind::Mc);
-        EXPECT_EQ(out[i].isWrite, in[i].isWrite);
-        EXPECT_EQ(lineOf(out[i].pa), // hopp-analyze: allow(raw) wire-field check
-                  static_cast<std::uint64_t>(in[i].addr29));
-        EXPECT_EQ(out[i].tick, in[i].fullTime);
-    }
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const std::uint32_t codec = 1;
+    ASSERT_EQ(std::fseek(f, 12, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&codec, sizeof(codec), 1, f), 1u);
+    std::fclose(f);
+    EXPECT_EQ(reader.open(path), TraceIoStatus::BadHeader);
     std::remove(path.c_str());
 }
 
-TEST(TraceCodec, RawCodecDropsPteRecordsButKeepsMc)
+TEST(TraceCodec, EmptyTraceIsOkAndEmpty)
 {
-    std::string path = tmpPath("hopp_codec_rawdrop.htrc");
-    TraceWriter::Options opt;
-    opt.codec = TraceCodec::Raw16;
-    TraceWriter w(path, opt);
-    ReplayRecord pte;
-    pte.kind = ReplayKind::PteSet;
-    pte.pid = Pid{1};
-    w.append(pte);
-    ReplayRecord mc;
-    mc.kind = ReplayKind::Mc;
-    mc.pa = pageBase(Ppn{17});
-    mc.tick = Tick{300};
-    w.append(mc);
-    ASSERT_TRUE(w.finish());
-    EXPECT_EQ(w.pteDropped(), 1u);
-    EXPECT_EQ(w.records(), 1u);
+    // No records means a bare header: a valid trace of zero records,
+    // not an error, and distinct from a missing or damaged file.
+    std::string path = tmpPath("hopp_codec_empty.htrc");
+    {
+        TraceWriter w(path);
+        ASSERT_TRUE(w.finish());
+        EXPECT_EQ(w.records(), 0u);
+        EXPECT_EQ(w.bytesWritten(), 16u);
+    }
     TraceReader reader;
     ASSERT_EQ(reader.open(path), TraceIoStatus::Ok);
-    auto out = readAll(reader);
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].pa, pageBase(Ppn{17}));
+    EXPECT_TRUE(readAll(reader).empty());
+    EXPECT_EQ(reader.status(), TraceIoStatus::Ok);
+    EXPECT_EQ(reader.recordsDecoded(), 0u);
     std::remove(path.c_str());
 }
 

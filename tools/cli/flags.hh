@@ -2,7 +2,8 @@
  * @file
  * Range checks for the numeric flags hopp-run, hopp-sweep and
  * hopp-replay share (--tiers only hopp-run and hopp-replay take,
- * --metrics-period only hopp-run). Each CLI calls checkFlags() once
+ * --metrics-period only hopp-run, --threshold, --pid and
+ * --tick-per-instr only hopp-replay). Each CLI calls checkFlags() once
  * its arguments are parsed and before it builds anything: past that
  * point an out-of-range value surfaces as an uncaught exception, a
  * deep assertion or a degenerate run. Unknown --workload and --system
@@ -18,24 +19,29 @@
 #include <cstring>
 #include <vector>
 
+#include "common/types.hh"
+
 namespace hopp::cli
 {
 
 /** The checked flags' values; the defaults are in range. */
 struct FlagValues
 {
-    std::vector<double> ratios = {0.5}; //!< --ratio (each one given)
-    double scale = 1.0;                 //!< --scale
-    double iterations = 1.0;            //!< --iterations
-    unsigned channels = 1;              //!< --channels
-    std::vector<unsigned> tiers = {};   //!< --tiers, via parseWhole()
-    std::uint64_t metricsPeriod = 1;    //!< --metrics-period, likewise
+    std::vector<double> ratios = {0.5};    //!< --ratio (each one given)
+    double scale = 1.0;                    //!< --scale
+    double iterations = 1.0;               //!< --iterations
+    unsigned channels = 1;                 //!< --channels
+    std::vector<unsigned> tiers = {};      //!< --tiers, via parseWhole()
+    std::uint64_t metricsPeriod = 1;       //!< --metrics-period, likewise
+    std::vector<unsigned> thresholds = {}; //!< --threshold, likewise
+    std::uint64_t pid = 1;                 //!< --pid, likewise
+    Duration tickPerInstr = 1;             //!< --tick-per-instr, likewise
 };
 
 /**
- * A --tiers or --metrics-period value: the number when all of @p text
- * is a whole decimal number that fits T, else 0, which checkFlags()
- * rejects for both flags.
+ * A whole-number flag's value: the number when all of @p text is a
+ * whole decimal number that fits T, else 0, which checkFlags() rejects
+ * for every flag parsed this way.
  */
 template <typename T>
 inline T
@@ -70,6 +76,14 @@ checkFlags(const char *tool, const FlagValues &v)
                   "(SSP=1, LSP=2, RSP=4, Markov=8)";
     if (!why && v.metricsPeriod < 1)
         why = "--metrics-period must be a whole number of ns >= 1";
+    for (unsigned t : v.thresholds)
+        if (!why && t < 1)
+            why = "--threshold must be a whole number >= 1";
+    if (!why && !(v.pid >= 1 && v.pid <= 0xFFFF))
+        why = "--pid must be a whole number in 1..65535 "
+              "(the RPT's 16-bit field)";
+    if (!why && v.tickPerInstr < 1)
+        why = "--tick-per-instr must be a whole number of ns >= 1";
     if (!why)
         return 0;
     std::fprintf(stderr, "%s: %s\n", tool, why);

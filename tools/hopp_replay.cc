@@ -127,8 +127,7 @@ main(int argc, char **argv)
         } else if (arg == "--tiers") {
             tier_masks.push_back(cli::parseWhole<unsigned>(need(i)));
         } else if (arg == "--threshold") {
-            thresholds.push_back(
-                static_cast<unsigned>(std::atoi(need(i))));
+            thresholds.push_back(cli::parseWhole<unsigned>(need(i)));
         } else if (arg == "--channels") {
             base.hopp.channels =
                 static_cast<unsigned>(std::atoi(need(i)));
@@ -147,11 +146,9 @@ main(int argc, char **argv)
         } else if (arg == "--import-champsim") {
             champsim_in = need(i);
         } else if (arg == "--pid") {
-            champsim_pid =
-                static_cast<std::uint64_t>(std::atoll(need(i)));
+            champsim_pid = cli::parseWhole<std::uint64_t>(need(i));
         } else if (arg == "--tick-per-instr") {
-            tick_per_instr =
-                static_cast<Duration>(std::atoll(need(i)));
+            tick_per_instr = cli::parseWhole<Duration>(need(i));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -163,7 +160,10 @@ main(int argc, char **argv)
     }
     if (int rc = cli::checkFlags("hopp-replay",
                                  {.channels = base.hopp.channels,
-                                  .tiers = tier_masks}))
+                                  .tiers = tier_masks,
+                                  .thresholds = thresholds,
+                                  .pid = champsim_pid,
+                                  .tickPerInstr = tick_per_instr}))
         return rc;
     if (trace_path.empty()) {
         usage(argv[0]);
@@ -216,6 +216,7 @@ main(int argc, char **argv)
     {
         std::vector<std::string> byTier;
         std::string mcStats; //!< cell 0's fidelity doc (group 0 only)
+        trace::TraceIoStatus status = trace::TraceIoStatus::Ok;
     };
     std::string mc_stats_doc;
     SweepPool pool(jobs);
@@ -241,6 +242,8 @@ main(int argc, char **argv)
                 ReplayEngine engine(cfgs);
                 if (st == trace::TraceIoStatus::Ok)
                     st = engine.run(reader);
+                if (out.status == trace::TraceIoStatus::Ok)
+                    out.status = st;
                 for (std::size_t c = lo; c < hi; ++c) {
                     std::size_t cell = c - lo;
                     std::string frag;
@@ -250,7 +253,7 @@ main(int argc, char **argv)
                     frag += "      \"threshold\": " +
                             std::to_string(thresholds[g]) + ",\n";
                     // A failed cell still renders (sweep documents
-                    // stay complete); the post-run scan turns any
+                    // stay complete); the post-run check turns any
                     // non-ok status into a nonzero exit.
                     frag += "      \"status\": \"" +
                             std::string(
@@ -280,11 +283,16 @@ main(int argc, char **argv)
         for (std::size_t g = 0; g < thresholds.size(); ++g)
             fragments.push_back(std::move(groups[g].byTier[t]));
 
-    bool replay_failed = false;
-    for (const std::string &f : fragments) {
-        if (f.find("\"status\": \"ok\"") == std::string::npos)
-            replay_failed = true;
+    // Every cell reads the same file: one stderr line names it and the
+    // first failure, whatever the grid size or --jobs.
+    trace::TraceIoStatus failed = trace::TraceIoStatus::Ok;
+    for (const GroupOut &g : groups) {
+        if (failed == trace::TraceIoStatus::Ok)
+            failed = g.status;
     }
+    if (failed != trace::TraceIoStatus::Ok)
+        std::fprintf(stderr, "hopp-replay: %s: %s\n", trace_path.c_str(),
+                     trace::traceIoStatusName(failed));
 
     std::string doc;
     doc += "{\n";
@@ -305,5 +313,5 @@ main(int argc, char **argv)
         io_ok &= obs::writeFile(out_path, doc);
     if (!mc_stats_json.empty())
         io_ok &= obs::writeFile(mc_stats_json, mc_stats_doc);
-    return (io_ok && !replay_failed) ? 0 : 1;
+    return (io_ok && failed == trace::TraceIoStatus::Ok) ? 0 : 1;
 }
