@@ -161,16 +161,6 @@ class ExecEngine : public PrefetchSink
         return outstanding_.size();
     }
 
-    /** Zero the counters (outstanding requests are untouched). */
-    void
-    resetStats()
-    {
-        for (auto &t : tierStats_)
-            t = TierStats{};
-        deduped_ = 0;
-        batches_ = 0;
-    }
-
   private:
     struct Meta
     {

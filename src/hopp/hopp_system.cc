@@ -55,12 +55,4 @@ HoppSystem::onPrefetchEvicted(Pid pid, Vpn vpn, vm::Origin o, Tick)
         exec_.onEvicted(pid, vpn);
 }
 
-void
-HoppSystem::resetStats()
-{
-    pipeline_.resetStats();
-    policy_.resetStats();
-    exec_.resetStats();
-}
-
 } // namespace hopp::core

@@ -126,14 +126,6 @@ class HoppSystem : public mem::McObserver,
         return pipeline_.warmPrunePasses();
     }
 
-    /**
-     * Reset every statistic this system owns: the pipeline's (HPD,
-     * RPT cache, STT, trainer, ring, advisor) plus the live-side
-     * policy and execution engines. Structural state is untouched:
-     * resetting stats must not change simulated behaviour.
-     */
-    void resetStats();
-
     /** Attach the flight recorder (nullptr detaches). */
     void setTracer(obs::Tracer *tracer)
     {

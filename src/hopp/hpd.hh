@@ -121,9 +121,6 @@ class Hpd
     /** Configuration. */
     const HpdConfig &config() const { return cfg_; }
 
-    /** Reset counters (not table contents). */
-    void resetStats() { stats_ = HpdStats{}; }
-
   private:
     struct Entry
     {

@@ -242,24 +242,6 @@ HotPagePipeline::onPteClear(Pid, Vpn, Ppn ppn, Tick)
     }
 }
 
-void
-HotPagePipeline::resetStats()
-{
-    for (unsigned c = 0; c < cfg_.channels; ++c) {
-        hpds_[c].resetStats();
-        rptCaches_[c].resetStats();
-    }
-    for (auto &g : sttGroups_)
-        g.stt->resetStats();
-    for (auto &backend : backends_)
-        backend->trainer.resetStats();
-    ring_.resetStats();
-    unmapped_ = 0;
-    hotPagesSeen_ = 0;
-    warmPruned_ = 0;
-    warmPrunePasses_ = 0;
-}
-
 std::string
 mcSideStatsJson(HotPagePipeline &p, std::size_t backend)
 {

@@ -206,15 +206,6 @@ class HotPagePipeline
     std::uint64_t warmPrunePasses() const { return warmPrunePasses_; }
 
     /**
-     * Reset every statistic the pipeline owns: per-channel HPD and
-     * RPT-cache counters, STT/trainer stats, ring drop counters, and
-     * the unmapped/advisor-prune totals. Structural state — the RPT,
-     * the advisor hotness table, stream state — is untouched:
-     * resetting stats must not change simulated behaviour.
-     */
-    void resetStats();
-
-    /**
      * Attach the flight recorder: ring-drain batch spans on the HoPP
      * software track, hot-page extraction counters and RPT-lookup
      * outcome counters. nullptr detaches.

@@ -155,9 +155,6 @@ class PolicyEngine
     /** Counters. */
     const PolicyStats &stats() const { return stats_; }
 
-    /** Zero the counters (per-stream offsets are untouched). */
-    void resetStats() { stats_ = PolicyStats{}; }
-
     /** Configuration. */
     const PolicyConfig &config() const { return cfg_; }
 

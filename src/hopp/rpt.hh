@@ -138,9 +138,6 @@ class RptCache
     /** Entries the cache can hold. */
     std::size_t capacityEntries() const { return cache_.capacity(); }
 
-    /** Reset counters (not contents). */
-    void resetStats() { stats_ = RptCacheStats{}; }
-
   private:
     friend class hopp::check::Access;
 

@@ -113,9 +113,6 @@ class Stt
     /** Counters. */
     const SttStats &stats() const { return stats_; }
 
-    /** Zero the counters (live streams are untouched). */
-    void resetStats() { stats_ = SttStats{}; }
-
     /** Configuration. */
     const SttConfig &config() const { return cfg_; }
 

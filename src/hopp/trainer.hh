@@ -128,9 +128,6 @@ class Trainer
     /** Counters. */
     const TrainerStats &stats() const { return stats_; }
 
-    /** Zero the counters. */
-    void resetStats() { stats_ = TrainerStats{}; }
-
     /** Enabled tiers. */
     unsigned tierMask() const { return tierMask_; }
 

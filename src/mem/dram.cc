@@ -50,11 +50,4 @@ Dram::totalTraffic() const
     return sum;
 }
 
-void
-Dram::resetTraffic()
-{
-    for (auto &v : traffic_)
-        v = 0;
-}
-
 } // namespace hopp::mem

@@ -92,9 +92,6 @@ class Dram
     /** Bytes across all sources. */
     std::uint64_t totalTraffic() const;
 
-    /** Zero the traffic counters. */
-    void resetTraffic();
-
   private:
     friend class hopp::check::Access;
 

@@ -86,14 +86,6 @@ class Llc
     /** Number of sets (for tests). */
     std::size_t sets() const { return tags_.sets(); }
 
-    /** Reset counters, keep contents. */
-    void
-    resetStats()
-    {
-        hits_ = 0;
-        misses_ = 0;
-    }
-
   private:
     friend class hopp::check::Access;
 

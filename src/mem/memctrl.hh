@@ -100,14 +100,6 @@ class MemCtrl
     /** Writeback transactions seen. */
     std::uint64_t writes() const { return writes_; }
 
-    /** Zero the transaction counters. */
-    void
-    resetStats()
-    {
-        reads_ = 0;
-        writes_ = 0;
-    }
-
     /**
      * Attach the flight recorder: cumulative miss-stream counter
      * samples every @p sample_every transactions.

@@ -114,15 +114,6 @@ class Link
     /** Configured parameters. */
     const LinkConfig &config() const { return cfg_; }
 
-    /** Zero traffic counters (busyUntil_ is sim state, kept). */
-    void
-    resetStats()
-    {
-        bytesSent_ = 0;
-        transfers_ = 0;
-        queueDelay_.reset();
-    }
-
     /**
      * Attach the flight recorder: one complete span per transfer
      * (queueing + serialization) plus a backlog counter, on the given

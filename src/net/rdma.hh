@@ -84,14 +84,6 @@ class RdmaFabric
     /** Outbound (write) link. */
     const Link &writeLink() const { return writeLink_; }
 
-    /** Zero both links' traffic counters. */
-    void
-    resetStats()
-    {
-        readLink_.resetStats();
-        writeLink_.resetStats();
-    }
-
     /** Attach the flight recorder to both simplex links. */
     void
     setTracer(obs::Tracer *tracer)

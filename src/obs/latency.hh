@@ -116,14 +116,6 @@ class FaultLatency : public vm::PageEventListener
         return hists_[static_cast<std::size_t>(c)];
     }
 
-    /** Clear all histograms (between repetitions). */
-    void
-    reset()
-    {
-        for (auto &h : hists_)
-            h.reset();
-    }
-
     /**
      * Record count/mean/p50/p90/p99 of every non-empty class into a
      * StatSet (keys `<class>.p50_ns` etc.).

@@ -150,15 +150,6 @@ class PrefetchStats : public vm::PageEventListener
                      : 0.0;
     }
 
-    /** Zero every origin's counters (between repetitions). */
-    void
-    reset()
-    {
-        for (auto &s : originStats_)
-            s = OriginStats{};
-        demandRemote_ = 0;
-    }
-
   private:
     std::array<OriginStats, maxOrigins> originStats_{};
     std::uint64_t demandRemote_ = 0;

@@ -157,16 +157,6 @@ class SwapBackend
     /** Live slot -> page mappings (for tests). */
     std::size_t liveMappings() const { return owners_.size(); }
 
-    /** Reset the issue counters (not the mappings). */
-    void
-    resetStats()
-    {
-        demandReads_ = 0;
-        prefetchReads_ = 0;
-        writebacks_ = 0;
-        batchReads_ = 0;
-    }
-
   private:
     net::RdmaFabric &fabric_;
     RemoteNode &node_;

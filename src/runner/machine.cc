@@ -94,7 +94,7 @@ Machine::build()
     }
 
     dram_ = std::make_unique<mem::Dram>(total_limit +
-                                        cfg_.dramSlackFrames);
+                                        MachineConfig::dramSlackFrames);
     mc_ = std::make_unique<mem::MemCtrl>(*dram_);
     llc_ = std::make_unique<mem::Llc>(cfg_.llc);
     fabric_ = std::make_unique<net::RdmaFabric>(eq_, cfg_.link);
@@ -118,8 +118,7 @@ Machine::build()
             t->gen = make();
             // One allocation per thread, here: the steady-state fill/
             // drain loop reuses this block for the machine's lifetime.
-            hopp_assert(cfg_.quantum > 0, "quantum must be nonzero");
-            t->block.resize(cfg_.quantum);
+            t->block.resize(MachineConfig::quantum);
             if (cfg_.tlb)
                 vms_->addPteHook(&t->tlb);
             threads_.push_back(std::move(t));

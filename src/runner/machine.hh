@@ -76,15 +76,15 @@ struct MachineConfig
     prefetch::VmaConfig vma;
 
     /** Extra uncharged DRAM frames beyond the cgroup limits. */
-    std::uint64_t dramSlackFrames = 512;
+    static constexpr std::uint64_t dramSlackFrames = 512;
 
     /**
      * Accesses one thread buffers per block: the step loop refills the
      * per-thread block with one AccessGenerator::nextBatch call per
-     * `quantum` accesses. Purely a host-side amortization knob — the
-     * yield checks stay per-access regardless (see DESIGN.md §14).
+     * `quantum` accesses. Purely host-side amortization — the yield
+     * checks stay per-access regardless (see DESIGN.md §14).
      */
-    unsigned quantum = 512;
+    static constexpr unsigned quantum = 512;
 
     /**
      * Per-thread software TLB caching VPN -> PageInfo* for resident
@@ -262,8 +262,8 @@ class Machine
         /// in the VMS hook list for the machine's lifetime.
         vm::Tlb tlb;
         /// Access block the pump fills and drains; sized to
-        /// cfg_.quantum once in build() so the steady-state loop never
-        /// allocates.
+        /// MachineConfig::quantum once in build() so the steady-state
+        /// loop never allocates.
         std::vector<workloads::Access> block;
         /// Drain cursor into block: [blockPos, blockLen) is buffered
         /// but not yet executed. A refill that comes back short marks

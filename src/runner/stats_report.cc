@@ -11,7 +11,7 @@ namespace
 {
 
 stats::StatSet
-llcStats(mem::Llc &llc)
+llcStats(const mem::Llc &llc)
 {
     stats::StatSet s("llc");
     s.record("hits", static_cast<double>(llc.hits()), "LLC hits");
@@ -22,24 +22,22 @@ llcStats(mem::Llc &llc)
     s.record("miss_rate",
              total > 0 ? static_cast<double>(llc.misses()) / total : 0,
              "miss fraction");
-    s.addResetter([&llc] { llc.resetStats(); });
     return s;
 }
 
 stats::StatSet
-mcStats(mem::MemCtrl &mc)
+mcStats(const mem::MemCtrl &mc)
 {
     stats::StatSet s("mc");
     s.record("reads", static_cast<double>(mc.reads()),
              "demand read transactions");
     s.record("writes", static_cast<double>(mc.writes()),
              "writeback transactions");
-    s.addResetter([&mc] { mc.resetStats(); });
     return s;
 }
 
 stats::StatSet
-dramStats(mem::Dram &dram)
+dramStats(const mem::Dram &dram)
 {
     using mem::TrafficSource;
     stats::StatSet s("dram");
@@ -68,12 +66,11 @@ dramStats(mem::Dram &dram)
              static_cast<double>(
                  dram.traffic(TrafficSource::RptUpdate)),
              "RPT write-back bytes");
-    s.addResetter([&dram] { dram.resetTraffic(); });
     return s;
 }
 
 stats::StatSet
-vmsStats(vm::Vms &vms)
+vmsStats(const vm::Vms &vms)
 {
     const vm::VmsStats &v = vms.stats();
     stats::StatSet s("vms");
@@ -106,12 +103,11 @@ vmsStats(vm::Vms &vms)
     s.record("prefetches_dropped",
              static_cast<double>(v.prefetchesDropped),
              "completions that found their page already consumed");
-    s.addResetter([&vms] { vms.resetStats(); });
     return s;
 }
 
 stats::StatSet
-backendStats(remote::SwapBackend &backend)
+backendStats(const remote::SwapBackend &backend)
 {
     stats::StatSet s("remote");
     s.record("demand_reads", static_cast<double>(backend.demandReads()),
@@ -123,12 +119,11 @@ backendStats(remote::SwapBackend &backend)
              "multi-page batched transfers");
     s.record("writebacks", static_cast<double>(backend.writebacks()),
              "page-out writes");
-    s.addResetter([&backend] { backend.resetStats(); });
     return s;
 }
 
 stats::StatSet
-prefetchStats(prefetch::PrefetchStats &ps)
+prefetchStats(const prefetch::PrefetchStats &ps)
 {
     stats::StatSet s("prefetch");
     s.record("accuracy", ps.accuracy(), "hits / completed (SVI-A)");
@@ -140,7 +135,6 @@ prefetchStats(prefetch::PrefetchStats &ps)
              "prefetches landed");
     s.record("hits", static_cast<double>(ps.totalHits()),
              "prefetched pages used");
-    s.addResetter([&ps] { ps.reset(); });
     return s;
 }
 
@@ -206,16 +200,12 @@ hoppStats(core::HoppSystem &h)
     s.record("advisor.prune_passes",
              static_cast<double>(h.warmPrunePasses()),
              "advisor prune passes");
-    s.addResetter([&h] { h.resetStats(); });
     return s;
 }
 
 stats::StatSet
 linkStats(const char *name, const net::Link &link)
 {
-    // The two per-link sets reset together through the fabric;
-    // collectStats registers that resetter once, on the read-link set.
-    // hopp-analyze: allow(stat-no-resetter)
     stats::StatSet s(name);
     s.record("bytes", static_cast<double>(link.bytesSent()),
              "payload bytes");
@@ -229,11 +219,10 @@ linkStats(const char *name, const net::Link &link)
 }
 
 stats::StatSet
-latencyStats(obs::FaultLatency &lat)
+latencyStats(const obs::FaultLatency &lat)
 {
     stats::StatSet s("latency");
     lat.dumpStats(s);
-    s.addResetter([&lat] { lat.reset(); });
     return s;
 }
 
@@ -271,10 +260,6 @@ collectStats(Machine &machine)
     out.push_back(linkStats("net.read", machine.fabric().readLink()));
     out.push_back(
         linkStats("net.write", machine.fabric().writeLink()));
-    // Both links reset through the fabric; register it once, on the
-    // read-link set.
-    out[out.size() - 2].addResetter(
-        [f = &machine.fabric()] { f->resetStats(); });
     if (auto *h = machine.hoppSystem())
         out.push_back(hoppStats(*h));
     return out;
@@ -309,13 +294,6 @@ statsJson(Machine &machine)
     }
     out += "\n}\n";
     return out;
-}
-
-void
-resetAllStats(Machine &machine)
-{
-    for (auto &set : collectStats(machine))
-        set.resetAll();
 }
 
 } // namespace hopp::runner

@@ -34,13 +34,5 @@ std::string statsReport(Machine &machine);
  */
 std::string statsJson(Machine &machine);
 
-/**
- * Zero every counter the stats report covers, through the resetters
- * the builders register alongside their records — use between
- * repetitions on one machine instead of ad-hoc per-component calls
- * (which historically missed newly added counters).
- */
-void resetAllStats(Machine &machine);
-
 } // namespace hopp::runner
 

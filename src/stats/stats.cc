@@ -40,15 +40,6 @@ LogHistogram::percentile(double q) const
 }
 
 void
-LogHistogram::reset()
-{
-    for (auto &b : buckets_)
-        b = 0;
-    count_ = 0;
-    sum_ = 0.0;
-}
-
-void
 Histogram::ensureSorted() const
 {
     if (!sorted_) {

@@ -1,7 +1,8 @@
 /**
  * @file
- * Lightweight statistics primitives: scalar counters, averages, and
- * fixed-bucket histograms, grouped into named StatSets for dumping.
+ * Lightweight statistics primitives: averages and log-bucket and
+ * exact histograms, with scalars grouped into named StatSets for
+ * dumping.
  *
  * Every simulated component owns its stats by value; a StatSet only keeps
  * registration metadata so copies of components stay cheap and safe.
@@ -10,32 +11,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 namespace hopp::stats
 {
-
-/** Monotonically increasing event counter. */
-class Counter
-{
-  public:
-    /** Add v occurrences. */
-    void add(std::uint64_t v = 1) { value_ += v; }
-
-    /** Current count. */
-    std::uint64_t value() const { return value_; }
-
-    /** Reset to zero (between experiment repetitions). */
-    void reset() { value_ = 0; }
-
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(std::uint64_t v) { value_ += v; return *this; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
 
 /** Running mean/min/max of a sampled quantity. */
 class Average
@@ -64,9 +44,6 @@ class Average
 
     /** Number of samples. */
     std::uint64_t count() const { return count_; }
-
-    /** Clear all samples. */
-    void reset() { sum_ = 0; count_ = 0; min_ = 0; max_ = 0; }
 
   private:
     double sum_ = 0.0;
@@ -110,9 +87,6 @@ class LogHistogram
     /** Per-bucket counts, bucket i covering [2^i, 2^(i+1)). */
     const std::vector<std::uint64_t> &buckets() const { return buckets_; }
 
-    /** Clear all samples. */
-    void reset();
-
   private:
     std::vector<std::uint64_t> buckets_;
     std::uint64_t count_ = 0;
@@ -155,14 +129,6 @@ class Histogram
     /** Largest sample (0 when empty). */
     std::uint64_t max() const;
 
-    /** Clear all samples. */
-    void
-    reset()
-    {
-        samples_.clear();
-        sorted_ = true;
-    }
-
   private:
     void ensureSorted() const;
 
@@ -204,31 +170,9 @@ class StatSet
     /** Render "name value # desc" lines. */
     std::string toString() const;
 
-    /**
-     * Register a callback that zeroes the component counters this set
-     * was recorded from. Builders register alongside record() so a
-     * later resetAll() covers exactly what the dump covers — closing
-     * the historical gap where between-repetition resets were ad-hoc
-     * per-field calls that silently missed newly added counters.
-     */
-    void
-    addResetter(std::function<void()> fn)
-    {
-        resetters_.push_back(std::move(fn));
-    }
-
-    /** Run every registered resetter. */
-    void
-    resetAll()
-    {
-        for (auto &fn : resetters_)
-            fn();
-    }
-
   private:
     std::string prefix_;
     std::vector<StatValue> values_;
-    std::vector<std::function<void()>> resetters_;
 };
 
 } // namespace hopp::stats

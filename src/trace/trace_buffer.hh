@@ -71,14 +71,6 @@ class RingBuffer
     /** Records ever accepted. */
     std::uint64_t pushed() const { return pushed_; }
 
-    /** Zero the lifetime counters (queued records are untouched). */
-    void
-    resetStats()
-    {
-        dropped_ = 0;
-        pushed_ = 0;
-    }
-
   private:
     std::vector<T> buf_;
     std::size_t capacity_;

@@ -272,9 +272,6 @@ class Vms
     /** Prefetch reads currently in flight (gauge). */
     std::uint64_t inflightPrefetches() const { return inflight_; }
 
-    /** Zero all event counters (between experiment repetitions). */
-    void resetStats() { stats_ = VmsStats{}; }
-
     /** The page table (for HoPP's initial RPT build and tests). */
     PageTable &pageTable() { return table_; }
 

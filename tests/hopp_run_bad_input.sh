@@ -2,8 +2,10 @@
 # Boundary validation of the numeric flags hopp-run, hopp-sweep and
 # hopp-replay share, and of the --workload and --system names. Every
 # bad input must exit with status exactly 2 and print one stderr line
-# naming the flag; the in-range edges (--ratio 1, --channels 2,
-# --tiers 15, --pid 65535) and a short --metrics-period must still run.
+# naming the flag. A numeric value is parsed whole, so trailing
+# garbage (--ratio 0.5abc) is as bad as an out-of-range number. The
+# in-range edges (--ratio 1, --channels 2, --tiers 15, --pid 65535),
+# a short --metrics-period and a Depth-N --depth must still run.
 #
 # usage: sh tests/hopp_run_bad_input.sh HOPP_RUN HOPP_SWEEP HOPP_REPLAY
 run=$1
@@ -37,7 +39,8 @@ expect_reject() {
 }
 
 for args in "--ratio -1" "--ratio 0" "--ratio 1.5" "--ratio nan" \
-            "--scale 0" "--scale -2" "--iterations 0" "--iterations -1" \
+            "--ratio 0.5abc" "--scale 0" "--scale -2" "--scale 0.1x" \
+            "--iterations 0" "--iterations -1" "--iterations 0.1z" \
             "--workload nosuch" "--system nosuch"; do
     # shellcheck disable=SC2086
     expect_reject "$run" $small $args
@@ -45,8 +48,11 @@ for args in "--ratio -1" "--ratio 0" "--ratio 1.5" "--ratio nan" \
     expect_reject "$sweep" $small --out "$tmp/sweep.json" $args
 done
 for args in "--channels 0" "--channels 3" "--channels 6" \
+            "--channels 2abc" \
             "--tiers 0" "--tiers 16" "--tiers 99" "--tiers -1" \
-            "--tiers abc" "--tiers 1.5" "--tiers 3x"; do
+            "--tiers abc" "--tiers 1.5" "--tiers 3x" \
+            "--depth 0" "--depth -5" "--depth abc" "--depth 8abc" \
+            "--depth 1025"; do
     # shellcheck disable=SC2086
     expect_reject "$run" $small $args
 done
@@ -63,6 +69,7 @@ if ! "$run" $small --record-trace "$tmp/t.trc" >/dev/null; then
     exit 1
 fi
 for args in "--channels 0" "--channels 3" "--channels 6" \
+            "--channels 2abc" \
             "--tiers 0" "--tiers 99" "--tiers abc" "--tiers -1"; do
     # shellcheck disable=SC2086
     expect_reject "$replay" --trace "$tmp/t.trc" --out "$tmp/r.json" $args
@@ -108,6 +115,11 @@ fi
 # shellcheck disable=SC2086
 if ! "$run" $small --tiers 15 >/dev/null; then
     echo "FAIL: hopp-run --tiers 15 must be accepted"
+    fail=1
+fi
+# shellcheck disable=SC2086
+if ! "$run" $small --system depth-n --depth 16 >/dev/null; then
+    echo "FAIL: hopp-run --system depth-n --depth 16 must be accepted"
     fail=1
 fi
 # shellcheck disable=SC2086

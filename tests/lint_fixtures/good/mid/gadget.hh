@@ -1,4 +1,5 @@
-// A well-behaved component: its counter is covered by resetStats().
+// A mid-layer component: it includes the bottom layer and the top
+// layer's interface header, both allowed by layers.conf.
 #pragma once
 
 #include "base/util.hh"
@@ -12,7 +13,6 @@ class Gadget
   public:
     void touch() { ++uses_; }
     unsigned long long uses() const { return uses_; }
-    void resetStats() { uses_ = 0; }
 
   private:
     unsigned long long uses_ = 0;

@@ -1,17 +1,16 @@
-// A well-behaved stat factory: every member-backed stat is covered by
-// the component's resetStats(), and a resetter is registered.
+// A top-layer user of a mid-layer component: the downward include is
+// allowed by the layer order.
 #include "mid/gadget.hh"
 
 namespace fixture
 {
 
-stats::StatSet
-gadgetStats(Gadget &g)
+unsigned long long
+touchTwice(Gadget &g)
 {
-    stats::StatSet s("gadget");
-    s.record("uses", static_cast<double>(g.uses()), "touches seen");
-    s.addResetter([&g] { g.resetStats(); });
-    return s;
+    g.touch();
+    g.touch();
+    return g.uses();
 }
 
 } // namespace fixture

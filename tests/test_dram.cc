@@ -60,8 +60,6 @@ TEST(Dram, TrafficAccountingPerSource)
     EXPECT_EQ(dram.traffic(TrafficSource::AppRead), 128u);
     EXPECT_EQ(dram.traffic(TrafficSource::HotPageWrite), 8u);
     EXPECT_EQ(dram.totalTraffic(), 136u);
-    dram.resetTraffic();
-    EXPECT_EQ(dram.totalTraffic(), 0u);
 }
 
 namespace

@@ -124,14 +124,3 @@ TEST(Hpd, TracksAtMostSetsTimesWays)
         touchLines(hpd, Ppn{p}, 1);
     EXPECT_LE(hpd.tracked(), 64u);
 }
-
-TEST(Hpd, ResetStatsKeepsTableContents)
-{
-    Hpd hpd(cfg(4));
-    touchLines(hpd, Ppn{7}, 3);
-    hpd.resetStats();
-    EXPECT_EQ(hpd.stats().reads, 0u);
-    // One more read completes the threshold: contents were kept.
-    auto hot = hpd.access(pageBase(Ppn{7}), false);
-    EXPECT_TRUE(hot.has_value());
-}

@@ -51,10 +51,10 @@ TEST(Llc, ResidentWorkingSetEventuallyAllHits)
         for (std::uint64_t a = 0; a < (32 << 10); a += lineBytes)
             llc.access(PhysAddr{a});
     }
-    llc.resetStats();
+    std::uint64_t miss_before = llc.misses();
     for (std::uint64_t a = 0; a < (32 << 10); a += lineBytes)
         llc.access(PhysAddr{a});
-    EXPECT_EQ(llc.misses(), 0u);
+    EXPECT_EQ(llc.misses() - miss_before, 0u);
 }
 
 TEST(Llc, StreamingFootprintLargerThanCacheAlwaysMisses)
@@ -79,11 +79,12 @@ TEST(Llc, InvalidatePageForcesMissesOnThatPageOnly)
         llc.access(pageBase(Ppn{6}) + off);
     }
     llc.invalidatePage(Ppn{5});
-    llc.resetStats();
+    std::uint64_t miss_before = llc.misses();
+    std::uint64_t hit_before = llc.hits();
     llc.access(pageBase(Ppn{5})); // invalidated -> miss
     llc.access(pageBase(Ppn{6})); // untouched -> hit
-    EXPECT_EQ(llc.misses(), 1u);
-    EXPECT_EQ(llc.hits(), 1u);
+    EXPECT_EQ(llc.misses() - miss_before, 1u);
+    EXPECT_EQ(llc.hits() - hit_before, 1u);
 }
 
 TEST(Llc, GeometryRoundsToPowerOfTwoSets)

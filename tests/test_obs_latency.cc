@@ -127,12 +127,3 @@ TEST(FaultLatency, DumpStatsReportsEveryNonEmptyClass)
     EXPECT_EQ(s.values().size() % 5, 0u);
     EXPECT_GE(s.values().size(), 10u);
 }
-
-TEST(FaultLatency, ResetClearsAllClasses)
-{
-    LatencyRun r(SystemKind::Fastswap, 0.3, 0.3);
-    ASSERT_GT(r.of(LatencyClass::RemoteFault).count(), 0u);
-    r.machine.faultLatency().reset();
-    for (std::size_t i = 0; i < latencyClassCount; ++i)
-        EXPECT_EQ(r.of(static_cast<LatencyClass>(i)).count(), 0u);
-}

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for counters, averages, histograms (exact and log-scale),
- * stat-set resetters, and table printing.
+ * Unit tests for averages, histograms (exact and log-scale), stat
+ * sets, and table printing.
  */
 
 #include <gtest/gtest.h>
@@ -16,17 +16,6 @@
 #include "stats/table.hh"
 
 using namespace hopp::stats;
-
-TEST(Counter, AddAndReset)
-{
-    Counter c;
-    ++c;
-    c += 4;
-    c.add();
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(Average, TracksMeanMinMax)
 {
@@ -83,15 +72,6 @@ TEST(LogHistogram, OverflowClampsToLastBucket)
     LogHistogram h(4);
     h.sample(1ull << 60);
     EXPECT_EQ(h.buckets()[3], 1u);
-}
-
-TEST(LogHistogram, ResetClears)
-{
-    LogHistogram h;
-    h.sample(5);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
 TEST(StatSet, RecordsPrefixedValues)
@@ -202,15 +182,6 @@ TEST(Histogram, InterleavedSampleAndQuery)
     EXPECT_EQ(h.count(), 4u);
 }
 
-TEST(Histogram, ResetClears)
-{
-    Histogram h;
-    h.sample(100);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_EQ(h.percentile(0.5), 0u);
-}
-
 TEST(LogHistogram, PercentileWithinDocumentedBound)
 {
     // The documented error bound: LogHistogram answers with the
@@ -229,31 +200,4 @@ TEST(LogHistogram, PercentileWithinDocumentedBound)
         EXPECT_GE(approx, exact) << "q=" << q;
         EXPECT_LE(approx, 2 * exact) << "q=" << q;
     }
-}
-
-// ---------------------------------------------------------------------
-// StatSet resetters: resetAll() must run every registered callback so
-// a dump-builder's reset coverage always matches its record coverage.
-
-TEST(StatSet, ResetAllRunsEveryResetter)
-{
-    Counter a, b;
-    a.add(3);
-    b.add(5);
-    StatSet s("x");
-    s.record("a", static_cast<double>(a.value()));
-    s.addResetter([&a] { a.reset(); });
-    s.record("b", static_cast<double>(b.value()));
-    s.addResetter([&b] { b.reset(); });
-    s.resetAll();
-    EXPECT_EQ(a.value(), 0u);
-    EXPECT_EQ(b.value(), 0u);
-}
-
-TEST(StatSet, ResetAllWithNoResettersIsNoop)
-{
-    StatSet s("x");
-    s.record("v", 1.0);
-    s.resetAll();
-    EXPECT_EQ(s.values().size(), 1u);
 }

@@ -6,8 +6,7 @@
  * module = first path component under the root a file was found in)
  * and the same diagnostic plumbing (suppression comments, expect
  * markers for the self-test). This header provides both; the passes
- * live in file_rules.hh, include_graph.hh, stat_reset.hh and
- * hotpath.hh.
+ * live in file_rules.hh, include_graph.hh and hotpath.hh.
  *
  * Several roots load as one tree, like an include path: `src tools`
  * gives `vm/vms.cc` and `analysis/model.hh` side by side, and a quote

@@ -6,13 +6,11 @@
  *
  * This is the semantic layer between the shared lexer (lexer.hh /
  * token_stream.hh) and the passes that reason about *behaviour* rather
- * than text. The stat-reset pass (stat_reset.hh) consumes the class
- * database (members, accessors, counters, reset coverage); the call
- * graph (call_graph.hh) additionally needs member/parameter/local
- * *types* to resolve `recv.method()` call sites, overload sets keyed
- * by arity, and declaration-vs-definition knowledge so a call into a
- * bodiless method (pure virtual, external) is honestly accounted as
- * unresolved instead of silently dropped.
+ * than text. Its consumer is the call graph (call_graph.hh), which
+ * needs member/parameter/local *types* to resolve `recv.method()` call
+ * sites, overload sets keyed by arity, and declaration-vs-definition
+ * knowledge so a call into a bodiless method (pure virtual, external)
+ * is honestly accounted as unresolved instead of silently dropped.
  *
  * What the index records, tree-wide:
  *
@@ -23,8 +21,6 @@
  *     declared arity, and the file/line they are defined in; method
  *     declarations without a body in the tree (kept separate, so the
  *     call graph can tell "resolved" from "declared but invisible");
- *     simple accessors (`return m_;`), counter members and reset
- *     coverage exactly as the stat-reset pass always used them;
  *   - out-of-line definitions `Type Class::method(...)` matched back
  *     to their class (the declaration/definition join);
  *   - free function definitions with enclosing namespace, parameters
@@ -72,14 +68,11 @@ struct ClassInfo
     std::map<std::string, std::string> memberTypes;
     /// member -> first template-argument type for templated members.
     std::map<std::string, std::string> memberElemTypes;
-    std::map<std::string, std::string> accessorBacking;
     std::vector<MethodInfo> methods;
     /// methods declared in the class body with no definition anywhere
     /// in the tree (pure virtual, or defined outside the analyzed
     /// roots) — calls to these are *unresolved*, never guessed at.
     std::set<std::string> methodDecls;
-    std::set<std::string> counters;
-    std::set<std::string> resetMentioned;
 
     bool
     hasMethodBody(const std::string &method) const
@@ -169,23 +162,6 @@ findBodyBrace(const std::vector<CodeToken> &code, std::size_t after_close)
         return npos;
     }
     return npos;
-}
-
-/** Simple accessor: body is `return M;` or `return M[...];`. */
-inline std::string
-simpleAccessorBacking(const std::vector<CodeToken> &body)
-{
-    if (body.size() < 3 || body[0].text != "return" || !isIdent(body[1]))
-        return "";
-    if (body[2].text == ";" && body.size() == 3)
-        return body[1].text;
-    if (body[2].text == "[") {
-        std::size_t close = matchForward(body, 2);
-        if (close + 1 < body.size() && body[close + 1].text == ";" &&
-            close + 2 == body.size())
-            return body[1].text;
-    }
-    return "";
 }
 
 /** Slice [begin, end) of a code-token vector. */
@@ -583,9 +559,6 @@ parseClassBody(const std::vector<CodeToken> &code, std::size_t begin,
                 m.params = parseParams(code, open, close);
                 m.body =
                     slice(code, body + 1, bclose < end ? bclose : end);
-                std::string backing = simpleAccessorBacking(m.body);
-                if (!backing.empty())
-                    info.accessorBacking[m.name] = backing;
                 info.methods.push_back(std::move(m));
                 j = (bclose < end ? bclose : end) + 1;
             }
@@ -614,10 +587,10 @@ struct FuncDef
 };
 
 /**
- * The whole-tree symbol index. `classes` is the class database the
- * stat-reset pass has always used (now with member types); `frees`
- * adds free-function definitions; `aliases` records `using X = ...`
- * names so cast syntax is not mistaken for calls.
+ * The whole-tree symbol index. `classes` is the class database
+ * (members with their types, method bodies, bodiless declarations);
+ * `frees` adds free-function definitions; `aliases` records
+ * `using X = ...` names so cast syntax is not mistaken for calls.
  */
 struct SymbolIndex
 {
@@ -748,9 +721,6 @@ buildSymbolIndex(const SourceTree &tree)
                 m.file = f.rel;
                 m.params = parseParams(code, i + 4, close);
                 m.body = slice(code, body + 1, bclose);
-                std::string backing = simpleAccessorBacking(m.body);
-                if (!backing.empty())
-                    cls->second.accessorBacking[m.name] = backing;
                 cls->second.methods.push_back(std::move(m));
                 i = bclose;
                 continue;
@@ -796,61 +766,12 @@ buildSymbolIndex(const SourceTree &tree)
         }
     }
 
-    // Phase 3: counters and reset coverage from the method bodies, and
-    // declaration/definition reconciliation.
-    for (auto &[name, cls] : sym.classes) {
+    // Phase 3: declaration/definition reconciliation — a method with
+    // a body anywhere in the tree is no longer a bodiless declaration.
+    for (auto &[name, cls] : sym.classes)
         for (const auto &m : cls.methods)
             cls.methodDecls.erase(m.name);
-        for (const auto &m : cls.methods) {
-            const auto &b = m.body;
-            for (std::size_t i = 0; i < b.size(); ++i) {
-                if (!isIdent(b[i]) || !cls.members.count(b[i].text))
-                    continue;
-                const std::string &mem = b[i].text;
-                bool pre_inc = i >= 2 && b[i - 1].text == "+" &&
-                               b[i - 2].text == "+";
-                // Direct: M += / M ++ ; subscript: M[...] += ;
-                // through-struct: M.field += / ++M.field (covered by
-                // pre_inc since M directly follows ++).
-                std::size_t after = i + 1;
-                if (after < b.size() && b[after].text == "[") {
-                    std::size_t close = matchForward(b, after);
-                    after = close < b.size() ? close + 1 : b.size();
-                } else if (after + 1 < b.size() &&
-                           b[after].text == "." &&
-                           isIdent(b[after + 1])) {
-                    after += 2;
-                }
-                bool post_inc =
-                    after + 1 < b.size() && b[after].text == "+" &&
-                    b[after + 1].text == "+";
-                bool compound =
-                    after + 1 < b.size() && b[after].text == "+" &&
-                    b[after + 1].text == "=";
-                if (pre_inc || post_inc || compound)
-                    cls.counters.insert(mem);
-            }
-        }
-        for (const auto &m : cls.methods) {
-            if (m.name.rfind("reset", 0) != 0)
-                continue;
-            for (std::size_t i = 0; i < m.body.size(); ++i)
-                if (isIdent(m.body[i]) &&
-                    cls.members.count(m.body[i].text))
-                    cls.resetMentioned.insert(m.body[i].text);
-        }
-    }
     return sym;
-}
-
-/**
- * Build the class database alone (the stat-reset pass's historical
- * entry point; the full index subsumes it).
- */
-inline ClassDb
-buildClassDb(const SourceTree &tree)
-{
-    return buildSymbolIndex(tree).classes;
 }
 
 } // namespace hopp::analysis

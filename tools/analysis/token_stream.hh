@@ -89,8 +89,7 @@ class TokenStream
      * Code tokens: comments and whitespace gone, directives flattened.
      * String/char literals keep their exact text (their *kind* keeps
      * token matchers from confusing them with identifiers or
-     * punctuation; consumers that want payloads, like the stat-name
-     * reader in hopp_analyze, read them verbatim).
+     * punctuation).
      */
     std::vector<CodeToken>
     code() const

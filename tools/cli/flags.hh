@@ -2,9 +2,11 @@
  * @file
  * Range checks for the numeric flags hopp-run, hopp-sweep and
  * hopp-replay share (--tiers only hopp-run and hopp-replay take,
- * --metrics-period only hopp-run, --threshold, --pid and
- * --tick-per-instr only hopp-replay). Each CLI calls checkFlags() once
- * its arguments are parsed and before it builds anything: past that
+ * --depth and --metrics-period only hopp-run, --threshold, --pid and
+ * --tick-per-instr only hopp-replay). Each value is parsed whole, by
+ * parseReal() or parseWhole(), so trailing garbage fails its check
+ * rather than leaving a numeric prefix. Each CLI calls checkFlags()
+ * once its arguments are parsed and before it builds anything: past that
  * point an out-of-range value surfaces as an uncaught exception, a
  * deep assertion or a degenerate run. Unknown --workload and --system
  * names are rejected the same way, through rejectName().
@@ -17,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/types.hh"
@@ -27,11 +30,12 @@ namespace hopp::cli
 /** The checked flags' values; the defaults are in range. */
 struct FlagValues
 {
-    std::vector<double> ratios = {0.5};    //!< --ratio (each one given)
-    double scale = 1.0;                    //!< --scale
-    double iterations = 1.0;               //!< --iterations
-    unsigned channels = 1;                 //!< --channels
-    std::vector<unsigned> tiers = {};      //!< --tiers, via parseWhole()
+    std::vector<double> ratios = {0.5};    //!< --ratio (each), via parseReal()
+    double scale = 1.0;                    //!< --scale, likewise
+    double iterations = 1.0;               //!< --iterations, likewise
+    unsigned channels = 1;                 //!< --channels, via parseWhole()
+    unsigned depth = 1;                    //!< --depth, likewise
+    std::vector<unsigned> tiers = {};      //!< --tiers, likewise
     std::uint64_t metricsPeriod = 1;       //!< --metrics-period, likewise
     std::vector<unsigned> thresholds = {}; //!< --threshold, likewise
     std::uint64_t pid = 1;                 //!< --pid, likewise
@@ -54,6 +58,22 @@ parseWhole(const char *text)
 }
 
 /**
+ * A real-valued flag's value: the number when all of @p text is a
+ * decimal number, else NaN, which every checkFlags() comparison
+ * rejects.
+ */
+inline double
+parseReal(const char *text)
+{
+    double value = 0;
+    const char *end = text + std::strlen(text);
+    auto [stop, ec] = std::from_chars(text, end, value);
+    return ec == std::errc{} && stop == end
+               ? value
+               : std::numeric_limits<double>::quiet_NaN();
+}
+
+/**
  * 0 when every flag is in range. Otherwise print one stderr line
  * naming the first bad flag and return 2, the usage exit status.
  */
@@ -63,13 +83,15 @@ checkFlags(const char *tool, const FlagValues &v)
     const char *why = nullptr;
     for (double r : v.ratios)
         if (!why && !(r > 0.0 && r <= 1.0))
-            why = "--ratio must be in (0, 1]";
+            why = "--ratio must be a number in (0, 1]";
     if (!why && !(v.scale > 0.0))
-        why = "--scale must be > 0";
+        why = "--scale must be a number > 0";
     if (!why && !(v.iterations > 0.0))
-        why = "--iterations must be > 0";
+        why = "--iterations must be a number > 0";
     if (!why && !std::has_single_bit(v.channels))
         why = "--channels must be a power of two (1, 2, 4, ...)";
+    if (!why && !(v.depth >= 1 && v.depth <= 1024))
+        why = "--depth must be a whole number in 1..1024";
     for (unsigned t : v.tiers)
         if (!why && !(t >= 1 && t <= 15))
             why = "--tiers must be a whole number in 1..15 "

@@ -2,7 +2,7 @@
  * @file
  * hopp_analyze — the static analyzer for the HoPP tree. It loads its
  * roots as one tree (tools/analysis/model.hh), lexes every file once
- * with the shared lexer, and runs four passes:
+ * with the shared lexer, and runs three passes:
  *
  *   file_rules.hh     per-file determinism, type-discipline and layer
  *                     rules: host RNG / wall clock / thread
@@ -12,10 +12,6 @@
  *   include_graph.hh  module layering against tools/analysis/layers.conf,
  *                     rooted include paths, one guard style, and
  *                     include-cycle detection
- *   stat_reset.hh     stat-reset completeness: every registered stat
- *                     backed by a counter member must be reset by its
- *                     component's reset method, and every factory that
- *                     records member-backed stats must addResetter
  *   hotpath.hh        hot-path purity: no allocation / nondeterminism
  *                     sink reachable (via the call graph built from
  *                     symbols.hh + call_graph.hh) from the roots
@@ -57,7 +53,6 @@
 #include "analysis/hotpath.hh"
 #include "analysis/include_graph.hh"
 #include "analysis/model.hh"
-#include "analysis/stat_reset.hh"
 #include "analysis/symbols.hh"
 
 namespace
@@ -131,18 +126,8 @@ analyze(SourceTree &tree, const std::vector<std::string> &roots,
     fileRulesPass(tree);
     includeGraphPass(tree, cfg);
 
-    SymbolIndex sym = buildSymbolIndex(tree);
-    StatResetSummary stats;
-    statResetPass(tree, sym.classes, stats);
-    if (opt.verbose) {
-        std::fprintf(stderr,
-                     "hopp_analyze: %d stat factories, %d records "
-                     "resolved to members, %d skipped as derived\n",
-                     stats.factories, stats.recordsResolved,
-                     stats.recordsSkipped);
-    }
-
     if (hconf.loaded) {
+        SymbolIndex sym = buildSymbolIndex(tree);
         CallGraph cg = buildCallGraph(sym);
         HotpathSummary hp;
         hotpathPass(tree, sym, cg, hconf, hp);

@@ -129,8 +129,7 @@ main(int argc, char **argv)
         } else if (arg == "--threshold") {
             thresholds.push_back(cli::parseWhole<unsigned>(need(i)));
         } else if (arg == "--channels") {
-            base.hopp.channels =
-                static_cast<unsigned>(std::atoi(need(i)));
+            base.hopp.channels = cli::parseWhole<unsigned>(need(i));
         } else if (arg == "--no-interleave") {
             base.hopp.channelInterleaved = false;
         } else if (arg == "--markov") {

@@ -52,7 +52,7 @@ usage(const char *argv0)
         "  --ratio F           local memory / footprint (default 0.5)\n"
         "  --scale F           footprint scale factor (default 1.0)\n"
         "  --iterations F      iteration scale factor (default 1.0)\n"
-        "  --depth N           Depth-N depth (default 32)\n"
+        "  --depth N           Depth-N depth, 1..1024 (default 32)\n"
         "  --tiers MASK        tier bitmask: 1=SSP 2=LSP 4=RSP 8=Markov"
         " (default 7)\n"
         "  --channels N        memory channels (default 1)\n"
@@ -186,19 +186,18 @@ main(int argc, char **argv)
                 return cli::rejectName("hopp-run", "--system", name);
             cfg.system = *kind;
         } else if (arg == "--ratio") {
-            cfg.localMemRatio = std::atof(need(i));
+            cfg.localMemRatio = cli::parseReal(need(i));
         } else if (arg == "--scale") {
-            scale.footprint = std::atof(need(i));
+            scale.footprint = cli::parseReal(need(i));
         } else if (arg == "--iterations") {
-            scale.iterations = std::atof(need(i));
+            scale.iterations = cli::parseReal(need(i));
         } else if (arg == "--depth") {
-            cfg.depth = static_cast<unsigned>(std::atoi(need(i)));
+            cfg.depth = cli::parseWhole<unsigned>(need(i));
         } else if (arg == "--tiers") {
             cfg.hopp.tierMask = cli::parseWhole<unsigned>(need(i));
             tier_masks.push_back(cfg.hopp.tierMask);
         } else if (arg == "--channels") {
-            cfg.hopp.channels =
-                static_cast<unsigned>(std::atoi(need(i)));
+            cfg.hopp.channels = cli::parseWhole<unsigned>(need(i));
         } else if (arg == "--no-interleave") {
             cfg.hopp.channelInterleaved = false;
         } else if (arg == "--batch") {
@@ -255,6 +254,7 @@ main(int argc, char **argv)
                                   .scale = scale.footprint,
                                   .iterations = scale.iterations,
                                   .channels = cfg.hopp.channels,
+                                  .depth = cfg.depth,
                                   .tiers = tier_masks,
                                   .metricsPeriod = metrics_period}))
         return rc;

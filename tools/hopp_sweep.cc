@@ -164,11 +164,11 @@ main(int argc, char **argv)
             systems.push_back(*kind);
         } else if (arg == "--ratio") {
             std::string text = need(i);
-            ratios.emplace_back(text, std::atof(text.c_str()));
+            ratios.emplace_back(text, cli::parseReal(text.c_str()));
         } else if (arg == "--scale") {
-            scale.footprint = std::atof(need(i));
+            scale.footprint = cli::parseReal(need(i));
         } else if (arg == "--iterations") {
-            scale.iterations = std::atof(need(i));
+            scale.iterations = cli::parseReal(need(i));
         } else if (arg == "--seed") {
             seed = static_cast<std::uint64_t>(std::atoll(need(i)));
         } else if (arg == "--jobs") {
