@@ -10,7 +10,6 @@
 
 #include "hopp/hopp_system.hh"
 #include "mem/llc.hh"
-#include "obs/blackbox.hh"
 #include "sim/event_queue.hh"
 #include "vm/vms.hh"
 
@@ -22,20 +21,6 @@ using detail::formatMessage;
 void
 Report::fail(const char *subsystem, std::string what)
 {
-    // Black box: violations are exactly the "significant events" a
-    // post-mortem wants in the tail, and recording them *here* —
-    // before enforce() decides whether to panic — means the dump
-    // carries them even when the panic message is truncated. The
-    // index (a) orders multi-violation reports. Sim time is unknown
-    // at this depth, so the entry inherits the newest ring entry's
-    // tick ("at or after the last event"), which also keeps the dump
-    // monotonic for hopp_trace.
-    obs::BlackBox &bb = obs::blackbox();
-    Tick at;
-    if (bb.size() > 0)
-        at = bb.event(bb.size() - 1).ts;
-    bb.record(obs::BbKind::InvariantViolation, at, 0,
-              violations_.size(), 0);
     violations_.push_back(std::string(subsystem) + ": " +
                           std::move(what));
 }

@@ -33,35 +33,13 @@ emitMessage(const char *kind, const std::string &msg)
     std::fprintf(stderr, "[%s] %s\n", kind, msg.c_str());
 }
 
-namespace
-{
-CrashHook g_crashHook = nullptr;
-} // namespace
-
-CrashHook
-setCrashHook(CrashHook hook)
-{
-    CrashHook old = g_crashHook;
-    g_crashHook = hook;
-    return old;
-}
-
 void
 terminateWithMessage(const char *kind, const char *file, int line,
                      const std::string &msg, bool core_dump)
 {
     std::fprintf(stderr, "[%s] %s:%d: %s\n", kind, file, line, msg.c_str());
-    if (core_dump) {
-        // Panic path only: give the black-box ring one chance to dump
-        // its forensics before the abort. The guard keeps a panic
-        // raised *inside* the hook from recursing.
-        static bool inHook = false;
-        if (g_crashHook != nullptr && !inHook) {
-            inHook = true;
-            g_crashHook();
-        }
+    if (core_dump)
         std::abort();
-    }
     std::exit(1);
 }
 

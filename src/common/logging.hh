@@ -25,17 +25,6 @@ namespace detail
 
 void emitMessage(const char *kind, const std::string &msg);
 
-/**
- * Hook invoked (at most once, re-entrancy guarded) after a panic
- * message prints and before abort(). The black-box flight ring
- * (obs/blackbox.hh) installs its forensics dump here so invariant
- * failures and hopp_assert aborts leave a last-events report behind.
- */
-using CrashHook = void (*)();
-
-/** Install @p hook; passing nullptr uninstalls. Returns the old one. */
-CrashHook setCrashHook(CrashHook hook);
-
 std::string formatMessage(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 

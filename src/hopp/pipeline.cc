@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/blackbox.hh"
 #include "vm/page.hh"
 
 namespace hopp::core
@@ -155,11 +154,6 @@ HotPagePipeline::drainRing()
     // The drain runs inside one event callback, so eq_.now() is fixed
     // for its duration and the B/E pair below is trivially balanced.
     std::uint64_t drained = ring_.size();
-    if (drained != 0) {
-        // Black box: one entry per drain batch (a = batch size).
-        obs::blackbox().record(obs::BbKind::HoppDrain, eq_.now(), 0,
-                               drained, 0);
-    }
     if (trace_ && drained)
         trace_->begin("hopp", "trainer.drain", eq_.now(),
                       obs::track::hopp);

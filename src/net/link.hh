@@ -15,7 +15,6 @@
 #include <cstdint>
 
 #include "common/types.hh"
-#include "obs/blackbox.hh"
 #include "obs/tracer.hh"
 #include "stats/stats.hh"
 
@@ -74,12 +73,6 @@ class Link
                              tid_);
             trace_->counter(cat_, backlogName_, now, busyUntil_ - now);
         }
-        // Black box: link completions are where remote latency comes
-        // from; the last few tell a post-mortem what the wire was
-        // doing. hopp-analyze: allow(raw) payload serialization
-        obs::blackbox().record(obs::BbKind::LinkTransfer, now, tid_,
-                               bytes,
-                               (busyUntil_ + cfg_.baseLatency).raw());
         return busyUntil_ + cfg_.baseLatency;
     }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "obs/blackbox.hh"
-#include "obs/trace_writer.hh"
 
 namespace hopp::runner
 {
@@ -341,14 +339,6 @@ Machine::maybeCheck()
         return;
     }
     lastCheckAt_ = eq_.executed();
-    if (cfg_.corruptAfterEvents != 0 && !corrupted_ &&
-        eq_.executed() >= cfg_.corruptAfterEvents) {
-        // Forensics test hook (see MachineConfig::corruptAfterEvents):
-        // break LLC occupancy accounting so the validators below fail
-        // and the black-box dump path runs for real.
-        corrupted_ = true;
-        check::testing::leakLlcOccupancy(*llc_);
-    }
     checkInvariants().enforce();
 }
 
@@ -356,10 +346,6 @@ check::Report
 Machine::checkInvariants()
 {
     prepare();
-    // Last-known-good marker: a post-mortem reader sees how far past
-    // the final clean pass the ring's tail runs (a = events executed).
-    obs::blackbox().record(obs::BbKind::InvariantCheck, eq_.now(), 0,
-                           eq_.executed(), 0);
     check::Report r;
     check::validateEventQueue(eq_, eqWatch_, r);
     check::validateVms(*vms_, r);
@@ -376,19 +362,9 @@ Machine::prepare()
         build();
 }
 
-bool
-Machine::dumpForensics(const std::string &path) const
-{
-    return obs::writeFile(path, obs::blackbox().toJsonl());
-}
-
 RunResult
 Machine::run()
 {
-    // One black-box flight per run: the ring must end as the tail of
-    // *this* run, not a predecessor on the same host thread (sweeps
-    // reuse worker threads).
-    obs::blackbox().clear();
     prepare();
     tracer_.begin("machine", "run", eq_.now(), obs::track::machine);
     pump();

@@ -129,17 +129,6 @@ struct MachineConfig
      * policy sweeps with hopp-replay (DESIGN.md §15).
      */
     std::string recordTracePath;
-
-    /**
-     * Test hook for the forensics pipeline: once this many events
-     * have executed, deliberately corrupt LLC occupancy accounting so
-     * the next checkInterval pass fails and the black-box ring dumps
-     * through the panic path. 0 (the default) disables; requires
-     * checkInterval > 0 to have any effect. Never set outside tests —
-     * it exists so "does a dying run leave a usable dump behind?" is
-     * testable end to end (hopp-run --inject-corruption).
-     */
-    std::uint64_t corruptAfterEvents = 0;
 };
 
 /** Per-application outcome. */
@@ -238,15 +227,6 @@ class Machine
      */
     check::Report checkInvariants();
 
-    /**
-     * Write this thread's black-box ring (the last ~1024 significant
-     * events of the current run) as JSONL to @p path. The same dump
-     * fires automatically when an invariant failure or hopp_assert
-     * panics; this entry point is for post-run inspection.
-     * @return false when the file cannot be written.
-     */
-    bool dumpForensics(const std::string &path) const;
-
   private:
     struct Thread
     {
@@ -319,7 +299,6 @@ class Machine
     obs::FaultLatency latency_;
     std::vector<std::unique_ptr<Thread>> threads_;
     bool built_ = false;
-    bool corrupted_ = false; //!< corruptAfterEvents already fired
     check::EventQueueWatch eqWatch_;
     std::uint64_t lastCheckAt_ = 0;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "check/check.hh"
-#include "obs/blackbox.hh"
 
 namespace hopp::vm
 {
@@ -186,11 +185,6 @@ Vms::evictOne(Cgroup &cg, Tick now, bool direct, Duration *cost)
         } else {
             ++stats_.kswapdReclaims;
         }
-        // Black box: which page the reclaim scan chose, and whether
-        // the caller was a direct-reclaiming fault (b=1) or kswapd.
-        // Ring payload serialization. hopp-analyze: allow(raw)
-        obs::blackbox().record(obs::BbKind::Evict, now, vpid.raw(),
-                               vvpn.raw(), direct ? 1 : 0);
         return true;
     }
     return false;
@@ -332,9 +326,6 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
         pi.dirty = true;
         pi.hasSwapCopy = false;
         ++stats_.coldFaults;
-        // Ring payload serialization. hopp-analyze: allow(raw)
-        obs::blackbox().record(obs::BbKind::FaultCold, now, pid.raw(),
-                               vpn.raw(), cost);
         if (trace_)
             trace_->complete("vm", "fault.cold", now, cost,
                              obs::track::ofPid(pid));
@@ -371,9 +362,6 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
         firePteSet(pid, vpn, pi, now + cost);
         ++stats_.swapCacheHits;
         --swapCachedPages_;
-        // Ring payload serialization. hopp-analyze: allow(raw)
-        obs::blackbox().record(obs::BbKind::FaultSwapHit, now, pid.raw(),
-                               vpn.raw(), cost);
         if (trace_)
             trace_->complete("vm", "fault.swapcache_hit", now, cost,
                              obs::track::ofPid(pid));
@@ -414,9 +402,6 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
             llc_.invalidatePage(ppn);
             ++stats_.inflightWaits;
             --inflight_;
-            // Ring payload serialization. hopp-analyze: allow(raw)
-            obs::blackbox().record(obs::BbKind::FaultWait, now,
-                                   pid.raw(), vpn.raw(), cost);
             if (trace_)
                 trace_->complete("vm", "fault.inflight_wait", now, cost,
                                  obs::track::ofPid(pid));
@@ -454,9 +439,6 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
         mc_.pageDma(ppn, now + cost);
         llc_.invalidatePage(ppn);
         ++stats_.remoteFaults;
-        // Ring payload serialization. hopp-analyze: allow(raw)
-        obs::blackbox().record(obs::BbKind::FaultRemote, now, pid.raw(),
-                               vpn.raw(), cost);
         if (trace_) {
             // The fault span plus its §II-A decomposition: kernel
             // steps (incl. direct reclaim), the RDMA transfer (incl.
@@ -508,9 +490,6 @@ Vms::prefetchToSwapCache(Pid pid, Vpn vpn, Origin origin, Tick now)
     pi.completesAt = backend_.readAsync(
         issue,
         [this, pid, vpn](Tick t) { finishPrefetch(pid, vpn, t); });
-    // Ring payload serialization. hopp-analyze: allow(raw)
-    obs::blackbox().record(obs::BbKind::PrefetchIssue, issue, pid.raw(),
-                           vpn.raw(), pi.completesAt.raw());
     if (trace_) {
         // Issue->fill span; ends at the already-known completion tick
         // (the sort puts the end event in its place).
@@ -549,9 +528,6 @@ Vms::prefetchInject(Pid pid, Vpn vpn, Origin origin, Tick now)
         firePteSet(pid, vpn, pi, now);
         ++stats_.adoptions;
         --swapCachedPages_;
-        // Ring payload serialization. hopp-analyze: allow(raw)
-        obs::blackbox().record(obs::BbKind::PrefetchInject, now,
-                               pid.raw(), vpn.raw(), 0);
         if (trace_)
             trace_->instant("vm", "prefetch.adopt", now,
                             obs::track::ofPid(pid));
@@ -580,9 +556,6 @@ Vms::prefetchInject(Pid pid, Vpn vpn, Origin origin, Tick now)
     pi.completesAt = backend_.readAsync(
         issue,
         [this, pid, vpn](Tick t) { finishPrefetch(pid, vpn, t); });
-    // Ring payload serialization. hopp-analyze: allow(raw)
-    obs::blackbox().record(obs::BbKind::PrefetchIssue, issue, pid.raw(),
-                           vpn.raw(), pi.completesAt.raw());
     if (trace_) {
         std::uint64_t id = trace_->nextAsyncId();
         trace_->asyncBegin("vm", "prefetch.inject", issue, id);
@@ -623,11 +596,6 @@ Vms::prefetchInjectBatch(Pid pid, Vpn vpn, unsigned count,
         });
     for (Vpn v : bundleScratch_)
         table_.get(pid, v).completesAt = completion;
-    // One ring entry covers the bundle (one transfer): a = first vpn,
-    // b = bundle size. hopp-analyze: allow(raw)
-    obs::blackbox().record(obs::BbKind::PrefetchIssue, issue, pid.raw(),
-                           bundleScratch_.front().raw(),
-                           bundleScratch_.size());
     if (trace_) {
         // One span covers the whole bundle (one RDMA transfer).
         std::uint64_t id = trace_->nextAsyncId();
@@ -671,10 +639,6 @@ Vms::finishPrefetch(Pid pid, Vpn vpn, Tick completion)
         cgroup(pid).lruInsert(pageKey(pid, vpn), pi);
         ++swapCachedPages_;
     }
-    // Ring payload serialization; b=1 when the arrival injected a
-    // PTE, 0 when it parked in the swap cache. hopp-analyze: allow(raw)
-    obs::blackbox().record(obs::BbKind::PrefetchFill, completion,
-                           pid.raw(), vpn.raw(), inject ? 1 : 0);
     for (auto *l : listeners_)
         l->onPrefetchCompleted(pid, vpn, origin, completion, inject);
 }

@@ -52,7 +52,10 @@ struct AllocTracker
 } // namespace
 
 // Instrumented global allocator: counts while armed, delegates to
-// malloc/free. Sized/array forms forward so nothing escapes the count.
+// malloc/free. Sized, array and nothrow forms forward so nothing
+// escapes the count, and every block the deletes below free came from
+// malloc: std::stable_sort takes its buffer from nothrow new, and a
+// sanitizer's own nothrow new would not pair with this free().
 // GCC pair-matches new/free across the replaced operators and warns;
 // that analysis does not apply to the replacing definitions themselves.
 #if defined(__GNUC__) && !defined(__clang__)
@@ -74,6 +77,20 @@ void *
 operator new[](std::size_t n)
 {
     return ::operator new(n);
+}
+
+void *
+operator new(std::size_t n, const std::nothrow_t &) noexcept
+{
+    if (g_track)
+        ++g_allocs;
+    return std::malloc(n ? n : 1);
+}
+
+void *
+operator new[](std::size_t n, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(n, tag);
 }
 
 void

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <utility>
 
@@ -337,6 +338,24 @@ TEST(InvariantMachine, EnforceAbortsOnViolation)
     ASSERT_NE(victim, nullptr);
     victim->charged = !victim->charged;
     EXPECT_DEATH(m.checkInvariants().enforce(), "invariant violation");
+}
+
+TEST(InvariantMachine, PeriodicCheckPanicsOnMidRunCorruption)
+{
+    // This run executes ~200 events: the leak lands after ~10 and the
+    // clean exit after ~125, so only a periodic pass can panic first —
+    // the final audit never gets to run.
+    MachineConfig cfg;
+    cfg.system = SystemKind::Fastswap;
+    cfg.checkInterval = 20;
+    Machine m(cfg);
+    m.addWorkload(workloads::makeWorkload("microbench", tiny()));
+    m.prepare();
+    m.eventQueue().schedule(Tick{300'000}, [&m] {
+        hopp::check::testing::leakLlcOccupancy(m.llc());
+    });
+    m.eventQueue().schedule(Tick{600'000}, [] { std::_Exit(0); });
+    EXPECT_DEATH(m.run(), "occupancy accounting leaked");
 }
 
 } // namespace

@@ -1,15 +1,17 @@
 /**
  * @file
- * Range checks for the numeric flags hopp-run, hopp-sweep and
- * hopp-replay share (--tiers only hopp-run and hopp-replay take,
- * --depth and --metrics-period only hopp-run, --threshold, --pid and
- * --tick-per-instr only hopp-replay). Each value is parsed whole, by
- * parseReal() or parseWhole(), so trailing garbage fails its check
- * rather than leaving a numeric prefix. Each CLI calls checkFlags()
- * once its arguments are parsed and before it builds anything: past that
- * point an out-of-range value surfaces as an uncaught exception, a
- * deep assertion or a degenerate run. Unknown --workload and --system
- * names are rejected the same way, through rejectName().
+ * Range checks for the numeric flags hopp-run, hopp-sweep, hopp-replay
+ * and hopp_trace share (--tiers only hopp-run and hopp-replay take,
+ * --seed only hopp-run and hopp-sweep, --jobs only hopp-sweep and
+ * hopp-replay, --depth, --check and --metrics-period only hopp-run,
+ * --threshold, --pid and --tick-per-instr only hopp-replay, --top only
+ * hopp_trace). Each value is parsed whole, by parseReal() or
+ * parseWhole(), so trailing garbage fails its check rather than
+ * leaving a numeric prefix. Each CLI calls checkFlags() once its
+ * arguments are parsed and before it builds anything: past that point
+ * an out-of-range value surfaces as an uncaught exception, a deep
+ * assertion or a degenerate run. Unknown --workload and --system names
+ * are rejected the same way, through rejectName().
  */
 
 #pragma once
@@ -20,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "common/types.hh"
@@ -40,21 +43,30 @@ struct FlagValues
     std::vector<unsigned> thresholds = {}; //!< --threshold, likewise
     std::uint64_t pid = 1;                 //!< --pid, likewise
     Duration tickPerInstr = 1;             //!< --tick-per-instr, likewise
+    // Raw parseWhole() results: nullopt is the bad value (and 0 for
+    // --top, which must list something).
+    std::optional<std::uint64_t> seed = 0;  //!< --seed
+    std::optional<std::uint64_t> check = 0; //!< --check (0 = off)
+    std::optional<unsigned> jobs = 1;       //!< --jobs (0 = all cores)
+    std::optional<unsigned> top = 1;        //!< --top
 };
 
 /**
  * A whole-number flag's value: the number when all of @p text is a
- * whole decimal number that fits T, else 0, which checkFlags() rejects
- * for every flag parsed this way.
+ * whole decimal number that fits T, else nullopt. A flag whose 0 is
+ * out of range takes value_or(0), so its range check covers garbage
+ * too; checkFlags() rejects nullopt for the rest.
  */
 template <typename T>
-inline T
+inline std::optional<T>
 parseWhole(const char *text)
 {
     T value = 0;
     const char *end = text + std::strlen(text);
     auto [stop, ec] = std::from_chars(text, end, value);
-    return ec == std::errc{} && stop == end ? value : 0;
+    if (ec != std::errc{} || stop != end)
+        return std::nullopt;
+    return value;
 }
 
 /**
@@ -106,6 +118,14 @@ checkFlags(const char *tool, const FlagValues &v)
               "(the RPT's 16-bit field)";
     if (!why && v.tickPerInstr < 1)
         why = "--tick-per-instr must be a whole number of ns >= 1";
+    if (!why && !v.seed)
+        why = "--seed must be a whole number";
+    if (!why && !v.check)
+        why = "--check must be a whole number of events (0 = off)";
+    if (!why && !v.jobs)
+        why = "--jobs must be a whole number (0 = all cores)";
+    if (!why && !(v.top && *v.top >= 1))
+        why = "--top must be a whole number >= 1";
     if (!why)
         return 0;
     std::fprintf(stderr, "%s: %s\n", tool, why);

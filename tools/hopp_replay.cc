@@ -108,7 +108,7 @@ main(int argc, char **argv)
     std::vector<unsigned> thresholds;
     ReplayConfig base;
     bool markov = false;
-    unsigned jobs = 1;
+    std::optional<unsigned> jobs = 1;
     std::uint64_t champsim_pid = 1;
     Duration tick_per_instr = 4;
 
@@ -125,19 +125,20 @@ main(int argc, char **argv)
         if (arg == "--trace") {
             trace_path = need(i);
         } else if (arg == "--tiers") {
-            tier_masks.push_back(cli::parseWhole<unsigned>(need(i)));
+            tier_masks.push_back(
+                cli::parseWhole<unsigned>(need(i)).value_or(0));
         } else if (arg == "--threshold") {
-            thresholds.push_back(cli::parseWhole<unsigned>(need(i)));
+            thresholds.push_back(
+                cli::parseWhole<unsigned>(need(i)).value_or(0));
         } else if (arg == "--channels") {
-            base.hopp.channels = cli::parseWhole<unsigned>(need(i));
+            base.hopp.channels =
+                cli::parseWhole<unsigned>(need(i)).value_or(0);
         } else if (arg == "--no-interleave") {
             base.hopp.channelInterleaved = false;
         } else if (arg == "--markov") {
             markov = true;
         } else if (arg == "--jobs") {
-            int n = std::atoi(need(i));
-            jobs = n <= 0 ? SweepPool::hardwareJobs()
-                          : static_cast<unsigned>(n);
+            jobs = cli::parseWhole<unsigned>(need(i));
         } else if (arg == "--out") {
             out_path = need(i);
         } else if (arg == "--mc-stats-json") {
@@ -145,9 +146,11 @@ main(int argc, char **argv)
         } else if (arg == "--import-champsim") {
             champsim_in = need(i);
         } else if (arg == "--pid") {
-            champsim_pid = cli::parseWhole<std::uint64_t>(need(i));
+            champsim_pid =
+                cli::parseWhole<std::uint64_t>(need(i)).value_or(0);
         } else if (arg == "--tick-per-instr") {
-            tick_per_instr = cli::parseWhole<Duration>(need(i));
+            tick_per_instr =
+                cli::parseWhole<Duration>(need(i)).value_or(0);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -162,7 +165,8 @@ main(int argc, char **argv)
                                   .tiers = tier_masks,
                                   .thresholds = thresholds,
                                   .pid = champsim_pid,
-                                  .tickPerInstr = tick_per_instr}))
+                                  .tickPerInstr = tick_per_instr,
+                                  .jobs = jobs}))
         return rc;
     if (trace_path.empty()) {
         usage(argv[0]);
@@ -218,7 +222,7 @@ main(int argc, char **argv)
         trace::TraceIoStatus status = trace::TraceIoStatus::Ok;
     };
     std::string mc_stats_doc;
-    SweepPool pool(jobs);
+    SweepPool pool(*jobs == 0 ? SweepPool::hardwareJobs() : *jobs);
     std::vector<GroupOut> groups = pool.run<GroupOut>(
         thresholds.size(), [&](std::size_t g) {
             GroupOut out;

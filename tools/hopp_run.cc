@@ -8,8 +8,7 @@
  *            [--eviction-advisor] [--seed N] [--dump-hopp] [--list]
  *            [--trace-out FILE] [--trace-jsonl FILE]
  *            [--metrics-out FILE] [--metrics-period NS]
- *            [--stats-json FILE] [--blackbox-out FILE]
- *            [--inject-corruption N]
+ *            [--stats-json FILE]
  *            [--record-trace FILE] [--mc-stats-json FILE]
  *
  * Examples:
@@ -76,10 +75,6 @@ usage(const char *argv0)
         "  --metrics-out FILE  write periodic gauge samples as CSV\n"
         "  --metrics-period NS sampling period in simulated ns"
         " (default 100000)\n"
-        "  --blackbox-out FILE dump the black-box event ring as JSONL"
-        " after the run\n"
-        "  --inject-corruption N  test hook: corrupt LLC accounting"
-        " after N events so --check fails and dumps forensics\n"
         "  --record-trace FILE record the MC-side input stream in the"
         " replay format (feed to hopp-replay)\n"
         "  --mc-stats-json FILE  write the MC-side pipeline stats"
@@ -155,11 +150,12 @@ main(int argc, char **argv)
     cfg.system = SystemKind::Hopp;
     cfg.localMemRatio = 0.5;
     workloads::WorkloadScale scale;
-    std::uint64_t seed = 42;
+    std::optional<std::uint64_t> seed = 42;
+    std::optional<std::uint64_t> check_interval = 0;
     bool dump_hopp = false;
     bool dump_stats = false;
     std::string trace_out, trace_jsonl, metrics_out, stats_json;
-    std::string blackbox_out, mc_stats_json;
+    std::string mc_stats_json;
     std::vector<unsigned> tier_masks; // every --tiers given, checked
     Duration metrics_period = 100'000; // 100 us of simulated time
     const std::vector<std::string> known = workloads::knownWorkloadNames();
@@ -192,12 +188,14 @@ main(int argc, char **argv)
         } else if (arg == "--iterations") {
             scale.iterations = cli::parseReal(need(i));
         } else if (arg == "--depth") {
-            cfg.depth = cli::parseWhole<unsigned>(need(i));
+            cfg.depth = cli::parseWhole<unsigned>(need(i)).value_or(0);
         } else if (arg == "--tiers") {
-            cfg.hopp.tierMask = cli::parseWhole<unsigned>(need(i));
+            cfg.hopp.tierMask =
+                cli::parseWhole<unsigned>(need(i)).value_or(0);
             tier_masks.push_back(cfg.hopp.tierMask);
         } else if (arg == "--channels") {
-            cfg.hopp.channels = cli::parseWhole<unsigned>(need(i));
+            cfg.hopp.channels =
+                cli::parseWhole<unsigned>(need(i)).value_or(0);
         } else if (arg == "--no-interleave") {
             cfg.hopp.channelInterleaved = false;
         } else if (arg == "--batch") {
@@ -209,10 +207,9 @@ main(int argc, char **argv)
         } else if (arg == "--no-tlb") {
             cfg.tlb = false;
         } else if (arg == "--check") {
-            cfg.checkInterval =
-                static_cast<std::uint64_t>(std::atoll(need(i)));
+            check_interval = cli::parseWhole<std::uint64_t>(need(i));
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+            seed = cli::parseWhole<std::uint64_t>(need(i));
         } else if (arg == "--dump-hopp") {
             dump_hopp = true;
         } else if (arg == "--stats") {
@@ -225,17 +222,13 @@ main(int argc, char **argv)
             trace_jsonl = need(i);
         } else if (arg == "--metrics-out") {
             metrics_out = need(i);
-        } else if (arg == "--blackbox-out") {
-            blackbox_out = need(i);
         } else if (arg == "--record-trace") {
             cfg.recordTracePath = need(i);
         } else if (arg == "--mc-stats-json") {
             mc_stats_json = need(i);
-        } else if (arg == "--inject-corruption") {
-            cfg.corruptAfterEvents =
-                static_cast<std::uint64_t>(std::atoll(need(i)));
         } else if (arg == "--metrics-period") {
-            metrics_period = cli::parseWhole<Duration>(need(i));
+            metrics_period =
+                cli::parseWhole<Duration>(need(i)).value_or(0);
         } else if (arg == "--list") {
             for (const auto &n : known)
                 std::printf("%s\n", n.c_str());
@@ -256,8 +249,17 @@ main(int argc, char **argv)
                                   .channels = cfg.hopp.channels,
                                   .depth = cfg.depth,
                                   .tiers = tier_masks,
-                                  .metricsPeriod = metrics_period}))
+                                  .metricsPeriod = metrics_period,
+                                  .seed = seed,
+                                  .check = check_interval}))
         return rc;
+    if (!mc_stats_json.empty() && cfg.system != SystemKind::Hopp &&
+        cfg.system != SystemKind::HoppOnly) {
+        std::fprintf(stderr, "hopp-run: --mc-stats-json needs a hopp or"
+                             " hopp-only --system\n");
+        return 2;
+    }
+    cfg.checkInterval = *check_interval;
     if (workload_names.empty())
         workload_names.push_back("kmeans-omp");
     if (!trace_out.empty() || !trace_jsonl.empty())
@@ -268,7 +270,7 @@ main(int argc, char **argv)
     Machine machine(cfg);
     for (std::size_t i = 0; i < workload_names.size(); ++i) {
         machine.addWorkload(workloads::makeWorkload(
-            workload_names[i], scale, seed + i + 1));
+            workload_names[i], scale, *seed + i + 1));
     }
     RunResult r = machine.run();
 
@@ -329,17 +331,10 @@ main(int argc, char **argv)
         io_ok &= obs::writeFile(metrics_out,
                                 machine.metricsSampler()->toCsv());
     }
-    if (!blackbox_out.empty())
-        io_ok &= machine.dumpForensics(blackbox_out);
     if (!mc_stats_json.empty()) {
-        if (auto *h = machine.hoppSystem()) {
-            io_ok &= obs::writeFile(
-                mc_stats_json, core::mcSideStatsJson(h->pipeline()));
-        } else {
-            std::fprintf(stderr, "--mc-stats-json needs a hopp/"
-                                 "hopp-only system\n");
-            io_ok = false;
-        }
+        io_ok &= obs::writeFile(
+            mc_stats_json,
+            core::mcSideStatsJson(machine.hoppSystem()->pipeline()));
     }
     if (!cfg.recordTracePath.empty() && !machine.traceRecordOk()) {
         std::fprintf(stderr, "trace recording to '%s' failed\n",

@@ -136,8 +136,8 @@ main(int argc, char **argv)
     std::vector<SystemKind> systems;
     std::vector<std::pair<std::string, double>> ratios;
     workloads::WorkloadScale scale;
-    std::uint64_t seed = 42;
-    unsigned jobs = 1;
+    std::optional<std::uint64_t> seed = 42;
+    std::optional<unsigned> jobs = 1;
     std::string out_path;
     const std::vector<std::string> known = workloads::knownWorkloadNames();
 
@@ -170,11 +170,9 @@ main(int argc, char **argv)
         } else if (arg == "--iterations") {
             scale.iterations = cli::parseReal(need(i));
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+            seed = cli::parseWhole<std::uint64_t>(need(i));
         } else if (arg == "--jobs") {
-            int n = std::atoi(need(i));
-            jobs = n <= 0 ? SweepPool::hardwareJobs()
-                          : static_cast<unsigned>(n);
+            jobs = cli::parseWhole<unsigned>(need(i));
         } else if (arg == "--out") {
             out_path = need(i);
         } else if (arg == "--help" || arg == "-h") {
@@ -192,7 +190,9 @@ main(int argc, char **argv)
     if (int rc = cli::checkFlags("hopp-sweep",
                                  {.ratios = ratio_values,
                                   .scale = scale.footprint,
-                                  .iterations = scale.iterations}))
+                                  .iterations = scale.iterations,
+                                  .seed = seed,
+                                  .jobs = jobs}))
         return rc;
     if (workload_names.empty())
         workload_names.push_back("kmeans-omp");
@@ -209,10 +209,10 @@ main(int argc, char **argv)
             for (const auto &[text, value] : ratios)
                 configs.push_back(SweepConfig{w, s, text, value});
 
-    SweepPool pool(jobs);
+    SweepPool pool(*jobs == 0 ? SweepPool::hardwareJobs() : *jobs);
     std::vector<std::string> fragments = pool.run<std::string>(
         configs.size(), [&](std::size_t i) {
-            return runOneConfig(configs[i], scale, seed);
+            return runOneConfig(configs[i], scale, *seed);
         });
 
     std::string doc;

@@ -15,16 +15,18 @@
  *            time (default when no mode flag is given; implies the
  *            validation too, since the numbers come from the same
  *            walk).
- * --top N    how many span names the summary lists (default 10).
+ * --top N    how many span names the summary lists (default 10,
+ *            at least 1).
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hh"
 #include "obs/json.hh"
 #include "obs/trace_check.hh"
 
@@ -170,7 +172,7 @@ main(int argc, char **argv)
 {
     bool check_only = false;
     bool summary = false;
-    unsigned top = 10;
+    std::optional<unsigned> top = 10;
     std::string path;
 
     for (int i = 1; i < argc; ++i) {
@@ -184,7 +186,7 @@ main(int argc, char **argv)
                 usage(argv[0]);
                 return 2;
             }
-            top = static_cast<unsigned>(std::atoi(argv[++i]));
+            top = hopp::cli::parseWhole<unsigned>(argv[++i]);
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
@@ -199,6 +201,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
+    if (int rc = hopp::cli::checkFlags("hopp_trace", {.top = top}))
+        return rc;
     if (path.empty()) {
         usage(argv[0]);
         return 2;
@@ -218,7 +222,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "hopp_trace: %s\n", e.c_str());
 
     if (summary)
-        printSummary(result, top);
+        printSummary(result, *top);
     if (result.ok()) {
         if (check_only)
             std::printf("%s: ok (%zu events)\n", path.c_str(),
