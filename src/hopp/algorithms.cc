@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -148,17 +149,26 @@ runRsp(const StreamView &view)
 std::optional<Prediction>
 runThreeTier(const StreamView &view, unsigned tier_mask)
 {
-    if (tier_mask & tiers::ssp) {
-        if (auto p = runSsp(view))
-            return p;
-    }
-    if (tier_mask & tiers::lsp) {
-        if (auto p = runLsp(view))
-            return p;
-    }
-    if (tier_mask & tiers::rsp) {
-        if (auto p = runRsp(view))
-            return p;
+    TierMemo memo;
+    memo.reset(view);
+    return memo.run(tier_mask);
+}
+
+std::optional<Prediction>
+TierMemo::run(unsigned tier_mask)
+{
+    for (unsigned t = 0; t < std::size(answer_); ++t) {
+        unsigned bit = 1u << t;
+        if (!(tier_mask & bit))
+            continue;
+        if (!(ran_ & bit)) {
+            ran_ |= bit;
+            answer_[t] = bit == tiers::ssp   ? runSsp(*view_)
+                         : bit == tiers::lsp ? runLsp(*view_)
+                                             : runRsp(*view_);
+        }
+        if (answer_[t])
+            return answer_[t];
     }
     return std::nullopt;
 }

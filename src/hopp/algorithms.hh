@@ -87,5 +87,34 @@ std::optional<Prediction> runRsp(const StreamView &view);
 std::optional<Prediction> runThreeTier(const StreamView &view,
                                        unsigned tier_mask = tiers::all);
 
+/**
+ * runThreeTier over one view for several tier masks. The tier
+ * algorithms are pure functions of the view, and every backend of an
+ * STT group trains on the same view, so the pipeline keeps one memo
+ * per group and each algorithm runs at most once per view. Tiers run
+ * lazily, in runThreeTier's order: a query never evaluates a tier
+ * that runThreeTier with the same mask would have skipped.
+ */
+class TierMemo
+{
+  public:
+    /** Forget every answer; later queries evaluate over @p view,
+     *  which must outlive them. */
+    void
+    reset(const StreamView &view)
+    {
+        view_ = &view;
+        ran_ = 0;
+    }
+
+    /** runThreeTier(view, tier_mask), from memoized tier answers. */
+    std::optional<Prediction> run(unsigned tier_mask);
+
+  private:
+    const StreamView *view_ = nullptr;
+    unsigned ran_ = 0; //!< tiers:: bits whose answer is held
+    std::optional<Prediction> answer_[3]; //!< SSP, LSP, RSP
+};
+
 } // namespace hopp::core
 

@@ -28,7 +28,6 @@ MarkovTable::MarkovTable(const MarkovConfig &cfg)
 void
 MarkovTable::train(Pid pid, Vpn prev, Vpn cur)
 {
-    ++stats_.trained;
     Entry fresh;
     fresh.succ[0] = cur;
     fresh.count[0] = 1;
@@ -59,16 +58,15 @@ MarkovTable::train(Pid pid, Vpn prev, Vpn cur)
         --e->count[weakest];
         if (e->count[weakest] > 0)
             return; // not yet displaced
-        ++stats_.replaced;
     }
     e->succ[weakest] = cur;
     e->count[weakest] = 1;
 }
 
 bool
-MarkovTable::dominant(Pid pid, Vpn vpn, Vpn &out)
+MarkovTable::dominant(Pid pid, Vpn vpn, Vpn &out) const
 {
-    Entry *e = table_.peek(vm::pageKey(pid, vpn));
+    const Entry *e = table_.peek(vm::pageKey(pid, vpn));
     if (!e)
         return false;
     unsigned best = 0;
@@ -83,7 +81,7 @@ MarkovTable::dominant(Pid pid, Vpn vpn, Vpn &out)
 }
 
 std::vector<Vpn>
-MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth)
+MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth) const
 {
     if (depth == 0)
         depth = cfg_.chainDepth;
@@ -92,16 +90,14 @@ MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth)
     // hopp-analyze: allow-file(hotpath-alloc)
     std::vector<Vpn> out;
     // Runner-up of the first hop, if it is also confident.
-    if (Entry *e = table_.peek(vm::pageKey(pid, vpn))) {
+    if (const Entry *e = table_.peek(vm::pageKey(pid, vpn))) {
         for (unsigned s = 0; s < MarkovConfig::slots; ++s) {
             if (e->count[s] >= cfg_.minCount)
                 out.push_back(e->succ[s]);
         }
     }
-    if (out.empty()) {
-        ++stats_.misses;
+    if (out.empty())
         return out;
-    }
     // Greedy chain along dominant successors.
     Vpn cur = out.front();
     for (unsigned d = 1; d < depth; ++d) {
@@ -111,7 +107,6 @@ MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth)
         out.push_back(next);
         cur = next;
     }
-    stats_.predictions += out.size();
     return out;
 }
 

@@ -41,15 +41,11 @@ struct MarkovConfig
 
     /** Successor-chain depth followed per prediction. */
     unsigned chainDepth = 2;
-};
 
-/** Markov-table counters. */
-struct MarkovStats
-{
-    std::uint64_t trained = 0;
-    std::uint64_t replaced = 0;    //!< successor slot repurposed
-    std::uint64_t predictions = 0; //!< pages returned by predict()
-    std::uint64_t misses = 0;      //!< predict() with no entry
+    /** Same knobs = same table on the same hot-page stream: backends
+     *  with equal configs can share one (HotPagePipeline's Markov
+     *  groups). */
+    bool operator==(const MarkovConfig &) const = default;
 };
 
 /**
@@ -68,10 +64,7 @@ class MarkovTable
      * successor, its dominant successor, and so on up to @p depth
      * (cfg.chainDepth when 0), plus the runner-up of the first hop.
      */
-    std::vector<Vpn> predict(Pid pid, Vpn vpn, unsigned depth = 0);
-
-    /** Counters. */
-    const MarkovStats &stats() const { return stats_; }
+    std::vector<Vpn> predict(Pid pid, Vpn vpn, unsigned depth = 0) const;
 
     /** Entries currently held. */
     std::size_t size() const { return table_.size(); }
@@ -84,11 +77,10 @@ class MarkovTable
     };
 
     /** Dominant successor of vpn, if confident. */
-    bool dominant(Pid pid, Vpn vpn, Vpn &out);
+    bool dominant(Pid pid, Vpn vpn, Vpn &out) const;
 
     MarkovConfig cfg_;
     mem::SetAssocCache<Entry> table_;
-    MarkovStats stats_;
 };
 
 } // namespace hopp::core

@@ -15,9 +15,7 @@ HotPagePipeline::HotPagePipeline(sim::EventQueue &eq, mem::Dram &dram,
     : eq_(eq), dram_(dram), cfg_(cfg), ring_(cfg.ringCapacity),
       sink_(sink)
 {
-    std::size_t group = sttGroupFor(cfg_.stt);
-    backends_.push_back(std::make_unique<Backend>(
-        *sttGroups_[group].stt, group, policy, sink, cfg_));
+    addBackend(policy, sink, cfg_);
     hopp_assert(cfg_.channels >= 1, "need at least one channel");
     hopp_assert((cfg_.channels & (cfg_.channels - 1)) == 0,
                 "channel count must be a power of two");
@@ -49,8 +47,32 @@ HotPagePipeline::sttGroupFor(const SttConfig &cfg)
             return i;
     }
     sttGroups_.push_back(
-        SttGroup{cfg, std::make_unique<Stt>(cfg), std::nullopt});
+        SttGroup{cfg, std::make_unique<Stt>(cfg), std::nullopt, {}});
     return sttGroups_.size() - 1;
+}
+
+const MarkovTable *
+HotPagePipeline::markovTableFor(const MarkovConfig &cfg)
+{
+    for (const MarkovGroup &g : markovGroups_) {
+        if (g.cfg == cfg)
+            return g.table.get();
+    }
+    markovGroups_.push_back(
+        MarkovGroup{cfg, std::make_unique<MarkovTable>(cfg), {}});
+    return markovGroups_.back().table.get();
+}
+
+void
+HotPagePipeline::addBackend(PolicyEngine &policy, PrefetchSink &sink,
+                            const HoppConfig &soft)
+{
+    const MarkovTable *markov = (soft.tierMask & tiers::markov)
+                                    ? markovTableFor(soft.markov)
+                                    : nullptr;
+    backends_.push_back(std::make_unique<Backend>(Backend{
+        Trainer(policy, sink, soft.tierMask, soft.batch, markov),
+        sttGroupFor(soft.stt)}));
 }
 
 std::size_t
@@ -63,9 +85,7 @@ HotPagePipeline::addReplayBackend(PolicyEngine &policy,
     // would have seen, silently breaking the fidelity contract.
     hopp_assert(hotPagesSeen_ == 0 && ring_.pushed() == 0,
                 "backends must be attached before the first access");
-    std::size_t group = sttGroupFor(soft.stt);
-    backends_.push_back(std::make_unique<Backend>(
-        *sttGroups_[group].stt, group, policy, sink, soft));
+    addBackend(policy, sink, soft);
     return backends_.size() - 1;
 }
 
@@ -165,14 +185,27 @@ HotPagePipeline::drainRing()
             if (lastHot_.size() >= warmPruneAt_)
                 pruneWarm(eq_.now());
         }
-        // Feed each distinct-config STT once; every backend of a
-        // group trains on the same view — identical to each trainer
-        // feeding a private table, minus the per-backend scan.
-        for (auto &g : sttGroups_)
+        // Train each distinct-config Markov table and feed each
+        // distinct-config STT once; every backend of a group predicts
+        // from the same table and view, and asks the group's memo for
+        // its tiers' answer — identical to each trainer training and
+        // feeding private tables and running its own tiers.
+        for (auto &m : markovGroups_) {
+            auto [it, fresh] = m.lastVpn.try_emplace(hp->pid, hp->vpn);
+            if (!fresh) {
+                if (it->second != hp->vpn)
+                    m.table->train(hp->pid, it->second, hp->vpn);
+                it->second = hp->vpn;
+            }
+        }
+        for (auto &g : sttGroups_) {
             g.view = g.stt->feed(hp->pid, hp->vpn);
+            if (g.view)
+                g.tiers.reset(*g.view);
+        }
         for (auto &backend : backends_) {
-            backend->trainer.onHotPage(
-                *hp, sttGroups_[backend->sttGroup].view, eq_.now());
+            SttGroup &g = sttGroups_[backend->sttGroup];
+            backend->trainer.onHotPage(*hp, g.view, g.tiers, eq_.now());
         }
     }
     if (trace_ && drained) {

@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -118,7 +119,10 @@ struct HoppConfig
  * — that is how trace replay sweeps software policies in a single
  * pass over a recorded stream (addReplayBackend below): every cell
  * sees byte-identical frontend statistics, and each cell's trainer
- * stats match what a solo run of that cell would produce.
+ * stats match what a solo run of that cell would produce. Backends
+ * share whatever depends only on the hot-page stream and a config:
+ * one STT and one tier memo per distinct SttConfig, one Markov table
+ * per distinct MarkovConfig among the backends with the tier on.
  */
 class HotPagePipeline
 {
@@ -175,8 +179,10 @@ class HotPagePipeline
      * hardware half (hpd, rptCache, channels, ring) is fixed by this
      * pipeline and the caller must not vary it across cells. Every
      * ring drain feeds every backend, so each backend's trainer sees
-     * exactly the hot-page stream a solo pipeline would. Backends
-     * must be added before the first access. @return backend index.
+     * exactly the hot-page stream a solo pipeline would; the backend
+     * joins the STT group of its SttConfig and, with the Markov tier
+     * on, the Markov group of its MarkovConfig. Backends must be added
+     * before the first access. @return backend index.
      */
     std::size_t addReplayBackend(PolicyEngine &policy,
                                  PrefetchSink &sink,
@@ -221,37 +227,54 @@ class HotPagePipeline
      * byte-identical STT behaviour on the shared hot-page stream, so
      * they share one table and the per-hot-page clustering scan runs
      * once per distinct config rather than once per backend. The view
-     * member is drain-loop scratch: the feed result every trainer of
-     * the group consumes for the current hot page.
+     * and tiers members are drain-loop scratch: the feed result every
+     * trainer of the group consumes for the current hot page, and the
+     * memo that runs each tier algorithm at most once over it.
      */
     struct SttGroup
     {
         SttConfig cfg;
         std::unique_ptr<Stt> stt;
         std::optional<StreamView> view;
+        TierMemo tiers;
     };
 
     /**
-     * One software cell: the trainer, bound to its group's shared STT.
-     * Held by unique_ptr because Trainer keeps references — it must
-     * never relocate.
+     * One shared correlation table: training depends only on the
+     * hot-page stream and the config, and trainers only peek, so
+     * backends with the Markov tier on and equal MarkovConfigs hold
+     * identical tables. The group trains once per hot page, before
+     * any backend predicts. Held by unique_ptr because trainers point
+     * at the table.
+     */
+    struct MarkovGroup
+    {
+        MarkovConfig cfg;
+        std::unique_ptr<MarkovTable> table;
+        /// Last hot VPN per PID: the source of the next transition.
+        std::unordered_map<Pid, Vpn> lastVpn;
+    };
+
+    /**
+     * One software cell: the trainer, bound to its group's shared STT
+     * (and Markov table, if the tier is on). Held by unique_ptr
+     * because Trainer keeps references — it must never relocate.
      */
     struct Backend
     {
-        Backend(Stt &stt, std::size_t group, PolicyEngine &policy,
-                PrefetchSink &sink, const HoppConfig &soft)
-            : trainer(stt, policy, sink, soft.tierMask, soft.batch,
-                      soft.markov),
-              sttGroup(group)
-        {
-        }
-
         Trainer trainer;
         std::size_t sttGroup;
     };
 
+    /** Attach a backend for @p soft's software half. */
+    void addBackend(PolicyEngine &policy, PrefetchSink &sink,
+                    const HoppConfig &soft);
+
     /** Index of the group serving @p cfg, creating it if new. */
     std::size_t sttGroupFor(const SttConfig &cfg);
+
+    /** The shared table for @p cfg, creating its group if new. */
+    const MarkovTable *markovTableFor(const MarkovConfig &cfg);
 
     sim::EventQueue &eq_;
     mem::Dram &dram_;
@@ -264,6 +287,7 @@ class HotPagePipeline
     HotPageRing ring_;
     PrefetchSink &sink_;
     std::vector<SttGroup> sttGroups_;
+    std::vector<MarkovGroup> markovGroups_;
     std::vector<std::unique_ptr<Backend>> backends_;
     bool drainScheduled_ = false;
     std::uint64_t unmapped_ = 0;

@@ -1,9 +1,9 @@
 /**
  * @file
  * Prefetch training framework (§III-D): consumes the hot-page records
- * the MC hardware deposits in reserved DRAM, clusters them into
- * streams via the STT, runs the enabled prefetch tiers, and forwards
- * policy-expanded prefetch requests to the execution engine.
+ * the MC hardware deposits in reserved DRAM, as the pipeline's STT has
+ * clustered them into streams, runs the enabled prefetch tiers, and
+ * forwards policy-expanded prefetch requests to the execution engine.
  */
 
 #pragma once
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/logging.hh"
 #include "hopp/algorithms.hh"
 #include "hopp/hot_page.hh"
 #include "hopp/markov.hh"
@@ -65,45 +66,46 @@ struct BatchConfig
 class Trainer
 {
   public:
-    Trainer(Stt &stt, PolicyEngine &policy, PrefetchSink &exec,
+    /**
+     * @p markov is the correlation table the pipeline trains on the
+     * hot-page stream (one per distinct MarkovConfig, shared by every
+     * backend with the tier on); non-null exactly when @p tier_mask
+     * has tiers::markov. The trainer only predicts from it.
+     */
+    Trainer(PolicyEngine &policy, PrefetchSink &exec,
             unsigned tier_mask = tiers::all, BatchConfig batch = {},
-            MarkovConfig markov = {})
-        : stt_(stt), policy_(policy), exec_(exec), tierMask_(tier_mask),
+            const MarkovTable *markov = nullptr)
+        : policy_(policy), exec_(exec), tierMask_(tier_mask),
           batch_(batch), markov_(markov)
     {
-    }
-
-    /** Process one hot-page record at time @p now. */
-    void
-    onHotPage(const HotPage &hp, Tick now)
-    {
-        onHotPage(hp, stt_.feed(hp.pid, hp.vpn), now);
+        hopp_assert(((tier_mask & tiers::markov) != 0) ==
+                        (markov != nullptr),
+                    "Markov table given iff the Markov tier is on");
     }
 
     /**
-     * Process one hot-page record whose STT feed already happened —
-     * the shared-STT fan-out path: backends with equal STT configs see
-     * identical tables, so the pipeline feeds each distinct table once
-     * per hot page and hands every trainer of the group the same view.
-     * Identical to each trainer feeding a private copy.
+     * Process one hot-page record whose STT feed and Markov training
+     * already happened. Backends with equal STT configs see identical
+     * tables, so the pipeline feeds each distinct table once per hot
+     * page and hands every trainer of the group the same view and the
+     * same tier memo (reset to that view). Identical to each trainer
+     * feeding a private STT and training a private Markov table.
      */
     void
     onHotPage(const HotPage &hp, const std::optional<StreamView> &view,
-              Tick now)
+              TierMemo &tiers, Tick now)
     {
         ++stats_.hotPages;
-        if (tierMask_ & tiers::markov)
-            trainMarkov(hp);
         if (!view) {
             // No stream context yet; the correlation tier can still
             // act on a learned transition.
-            if (tierMask_ & tiers::markov)
+            if (markov_)
                 predictMarkov(hp, now);
             return;
         }
-        auto pred = runThreeTier(*view, tierMask_);
+        auto pred = tiers.run(tierMask_);
         if (!pred) {
-            if ((tierMask_ & tiers::markov) && predictMarkov(hp, now))
+            if (markov_ && predictMarkov(hp, now))
                 return;
             ++stats_.noPattern;
             return;
@@ -121,9 +123,6 @@ class Trainer
             }
         }
     }
-
-    /** The correlation table (tests/benches). */
-    MarkovTable &markov() { return markov_; }
 
     /** Counters. */
     const TrainerStats &stats() const { return stats_; }
@@ -171,18 +170,6 @@ class Trainer
             batchCountdown_.clear();
     }
 
-    /** Feed the correlation table with the per-PID hot sequence. */
-    void
-    trainMarkov(const HotPage &hp)
-    {
-        auto [it, fresh] = lastHot_.try_emplace(hp.pid, hp.vpn);
-        if (!fresh) {
-            if (it->second != hp.vpn)
-                markov_.train(hp.pid, it->second, hp.vpn);
-            it->second = hp.vpn;
-        }
-    }
-
     /**
      * Correlation-tier prediction: chase the learned successor chain
      * as deep as the stream-agnostic policy offset asks.
@@ -199,7 +186,7 @@ class Trainer
         auto depth = static_cast<unsigned>(std::min<std::uint64_t>(
             16, std::max<std::uint64_t>(
                     2, policy_.offsets(stream_id).front())));
-        auto targets = markov_.predict(hp.pid, hp.vpn, depth);
+        auto targets = markov_->predict(hp.pid, hp.vpn, depth);
         if (targets.empty())
             return false;
         ++stats_.predictions[static_cast<unsigned>(Tier::Mkv)];
@@ -208,14 +195,12 @@ class Trainer
         return true;
     }
 
-    Stt &stt_;
     PolicyEngine &policy_;
     PrefetchSink &exec_;
     unsigned tierMask_;
     BatchConfig batch_;
-    MarkovTable markov_;
+    const MarkovTable *markov_;
     std::unordered_map<std::uint64_t, std::uint64_t> batchCountdown_;
-    std::unordered_map<Pid, Vpn> lastHot_;
     TrainerStats stats_;
 };
 

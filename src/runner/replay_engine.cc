@@ -60,7 +60,7 @@ ReplayEngine::CellSink::requestBatch(Pid pid, Vpn vpn, unsigned count,
 std::size_t
 ReplayEngine::CellSink::outstanding() const
 {
-    return engine->cells_[cell]->outstanding.size();
+    return engine->cells_[cell]->outstanding;
 }
 
 ReplayEngine::ReplayEngine(const ReplayConfig &cfg)
@@ -90,16 +90,29 @@ ReplayEngine::ReplayEngine(const std::vector<ReplayConfig> &cells)
             "fan-out cells must share the hardware configuration");
         cell.sink.engine = this;
         cell.sink.cell = static_cast<unsigned>(i);
-        // Sized for the common case so the replay loop's oracle
-        // updates are flat probes; growth past this is handled (and
-        // allowed) in FlatU64Map itself.
-        cell.outstanding.reserve(1 << 12);
         if (i != 0)
             pipeline_.addReplayBackend(cell.policy, cell.sink,
                                        cell.cfg.hopp);
     }
     shadow_.reserve(1 << 16);
     pages_.reserve(1 << 16);
+    // Sized for the common case so the replay loop's ledger updates
+    // do not allocate; growth past this is amortized.
+    ready_.reserve(cells_.size() << 12);
+    freeRows_.reserve(1 << 12);
+}
+
+std::uint32_t
+ReplayEngine::takeRow()
+{
+    if (!freeRows_.empty()) {
+        std::uint32_t row = freeRows_.back();
+        freeRows_.pop_back();
+        return row;
+    }
+    auto row = static_cast<std::uint32_t>(ready_.size() / cells_.size());
+    ready_.insert(ready_.end(), cells_.size(), Tick{});
+    return row;
 }
 
 void
@@ -107,39 +120,45 @@ ReplayEngine::oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now)
 {
     Cell &c = *cells_[cell];
     ++c.result.requested;
-    std::uint64_t key = vm::pageKey(pid, vpn);
+    PageOracle &po = pages_[vm::pageKey(pid, vpn)];
+    if (po.pendingMask == 0)
+        po.row = takeRow();
     // Re-requesting a page whose prediction was never consumed means
     // the earlier prediction did not get used; charge it now so the
     // ledger cannot double-count one demand against two requests.
-    Tick &ready = c.outstanding[key];
-    if (ready != Tick{})
+    const std::uint32_t bit = 1u << cell;
+    if (po.pendingMask & bit)
         ++c.result.unused;
-    ready = now + c.cfg.arrivalDelay;
-    pages_[key].pendingMask |= 1u << cell;
+    else
+        ++c.outstanding;
+    po.pendingMask |= bit;
+    ready_[std::size_t{po.row} * cells_.size() + cell] =
+        now + c.cfg.arrivalDelay;
 }
 
 void
 ReplayEngine::oracleDemand(Pid pid, Vpn vpn, Tick now)
 {
-    std::uint64_t key = vm::pageKey(pid, vpn);
-    PageOracle &po = pages_[key];
+    PageOracle &po = pages_[vm::pageKey(pid, vpn)];
     std::uint32_t pending = po.pendingMask;
     if (pending != 0) {
         po.pendingMask = 0;
         // Only cells with a prediction outstanding on this page pay
         // anything here; per record, cells that did not predict it
         // cost nothing — that is the fan-out's scaling property.
+        const Tick *ready = &ready_[std::size_t{po.row} * cells_.size()];
         for (std::uint32_t m = pending; m != 0; m &= m - 1) {
-            Cell &c = *cells_[std::countr_zero(m)];
-            Tick *ready = c.outstanding.find(key);
-            if (now < *ready)
+            auto i = static_cast<unsigned>(std::countr_zero(m));
+            Cell &c = *cells_[i];
+            if (now < ready[i])
                 ++c.result.late;
-            else if (now - *ready <= c.cfg.useWindow)
+            else if (now - ready[i] <= c.cfg.useWindow)
                 ++c.result.used;
             else
                 ++c.result.unused;
-            c.outstanding.erase(key);
+            --c.outstanding;
         }
+        freeRows_.push_back(po.row);
     }
     if (!po.seen) {
         po.seen = true;
@@ -226,7 +245,7 @@ ReplayEngine::run(trace::TraceReader &reader)
         res.demandPages = demandPages_;
         // Whatever is still outstanding was never consumed by a
         // demand.
-        res.unused += cell->outstanding.size();
+        res.unused += cell->outstanding;
     }
     return reader.status();
 }

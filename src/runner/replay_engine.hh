@@ -20,12 +20,17 @@
  * channels, ring, trainer delay) replays all of them in ONE pass —
  * the decode and the per-access HPD/RPT frontend are paid once, and
  * each hot page fans out to every cell's trainer
- * (HotPagePipeline::addReplayBackend). Per cell, both the MC-side
- * stats document and the oracle ledger are byte-identical to a solo
- * replay of that cell; the per-record cost of an extra cell is zero
- * (cells only pay per hot page and per prediction). This is what
- * makes a software-policy sweep run at memory speed rather than at
- * simulation speed.
+ * (HotPagePipeline::addReplayBackend). What the cells' software
+ * halves share is paid once too: one STT, one tier memo and one
+ * Markov table per distinct config (see HotPagePipeline), and one
+ * page-major oracle ledger — a prediction costs one probe of the
+ * shared page table, and a demand read visits one contiguous row of
+ * arrival ticks for the cells that predicted the page. Per cell, both
+ * the MC-side stats document and the oracle ledger are byte-identical
+ * to a solo replay of that cell; the per-record cost of an extra cell
+ * is zero (cells only pay per hot page and per prediction). This is
+ * what makes a software-policy sweep run at memory speed rather than
+ * at simulation speed.
  */
 
 #pragma once
@@ -178,25 +183,30 @@ class ReplayEngine
         core::PolicyEngine policy;
         CellSink sink;
         ReplayResult result;
-        /// pageKey -> modeled arrival tick of an un-demanded
-        /// prediction (this cell's half of the oracle ledger).
-        FlatU64Map<Tick> outstanding;
+        /// Predictions not yet consumed by a demand: this cell's set
+        /// bits over every page's pendingMask.
+        std::uint64_t outstanding = 0;
     };
 
     /**
      * Shared per-page oracle state: which cells have a pending
-     * prediction (so a demand read probes only flagged cells) and
-     * whether the page already counted toward demandPages.
+     * prediction (so a demand read visits only flagged cells), the
+     * ready_ row holding their modeled arrival ticks (meaningful while
+     * pendingMask != 0), and whether the page already counted toward
+     * demandPages.
      */
     struct PageOracle
     {
         std::uint32_t pendingMask = 0;
+        std::uint32_t row = 0;
         bool seen = false;
     };
 
     void dispatch(const trace::ReplayRecord &r);
     void oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now);
     void oracleDemand(Pid pid, Vpn vpn, Tick now);
+    /** A free ready_ row, recycled or appended. */
+    std::uint32_t takeRow();
 
     sim::EventQueue eq_;
     /// Traffic accounting only — no frame is ever allocated from it.
@@ -216,9 +226,16 @@ class ReplayEngine
     /// oracle uses it (not the lazily written-back Rpt) to resolve
     /// demand reads.
     FlatU64Map<std::uint64_t> shadow_;
-    /// pageKey -> shared oracle state (one probe per demand read
-    /// regardless of cell count).
+    /// pageKey -> shared oracle state (one probe per request or
+    /// demand read regardless of cell count).
     FlatU64Map<PageOracle> pages_;
+    /// The page-major oracle ledger: row r holds cells() modeled
+    /// arrival ticks, and [r * cells() + i] is live while cell i's bit
+    /// is set in the pendingMask of the page owning row r. A demand
+    /// that clears a page's mask returns its row to freeRows_, so the
+    /// ledger is sized by pending pages, not by pages ever predicted.
+    std::vector<Tick> ready_;
+    std::vector<std::uint32_t> freeRows_;
     bool ran_ = false;
 };
 

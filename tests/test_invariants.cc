@@ -265,12 +265,14 @@ TEST(InvariantMachine, CleanRunPassesWithPeriodicChecks)
     MachineConfig cfg;
     cfg.system = SystemKind::Fastswap;
     cfg.localMemRatio = 0.5;
-    cfg.checkInterval = 500; // validate often
+    cfg.checkInterval = 50; // validate often
     Machine m(cfg);
     m.addWorkload(workloads::makeWorkload("quicksort", tiny()));
     RunResult r = m.run(); // enforce() panics if any validator trips
     EXPECT_GT(r.makespan, Tick{});
     EXPECT_TRUE(m.checkInvariants().ok());
+    // Several periodic passes ran, not only the final audit.
+    EXPECT_GE(m.eventQueue().executed(), 3 * cfg.checkInterval);
 }
 
 TEST(InvariantMachine, CleanHoppRunPassesWithPeriodicChecks)
@@ -278,12 +280,13 @@ TEST(InvariantMachine, CleanHoppRunPassesWithPeriodicChecks)
     MachineConfig cfg;
     cfg.system = SystemKind::Hopp;
     cfg.localMemRatio = 0.5;
-    cfg.checkInterval = 500;
+    cfg.checkInterval = 50;
     Machine m(cfg);
     m.addWorkload(workloads::makeWorkload("kmeans-omp", tiny()));
     RunResult r = m.run();
     EXPECT_GT(r.makespan, Tick{});
     EXPECT_TRUE(m.checkInvariants().ok());
+    EXPECT_GE(m.eventQueue().executed(), 3 * cfg.checkInterval);
 }
 
 TEST(InvariantMachine, DetectsRptMappingLoss)

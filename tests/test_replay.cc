@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,87 @@ recordLive(const std::string &workload, SystemKind sys,
     machine.run();
     EXPECT_TRUE(machine.traceRecordOk());
     return core::mcSideStatsJson(machine.hoppSystem()->pipeline());
+}
+
+/** A sink that drops every request. */
+struct DropSink : core::PrefetchSink
+{
+    void request(Pid, Vpn, std::uint64_t, core::Tier, Tick) override {}
+    unsigned
+    requestBatch(Pid, Vpn, unsigned, std::uint64_t, core::Tier,
+                 Tick) override
+    {
+        return 0;
+    }
+};
+
+/** How a trainer with one tier mask answered the views it saw. */
+struct TierCounts
+{
+    std::uint64_t predictions[core::tierCount] = {};
+    std::uint64_t noPattern = 0;
+};
+
+/**
+ * The tier decisions trainers with @p masks (no Markov tier) make on
+ * the hot pages @p trace_path extracts, computed with nothing shared:
+ * the trace drives a bare frontend whose event queue never runs, so
+ * no drain or trainer does either; the hot pages are popped here in
+ * extraction order, and every view goes through a fresh runThreeTier
+ * per mask — no STT group, no tier memo.
+ */
+std::vector<TierCounts>
+unsharedTierCounts(const std::string &trace_path,
+                   const std::vector<unsigned> &masks)
+{
+    sim::EventQueue eq;
+    mem::Dram dram(/*frames=*/1);
+    core::PolicyEngine policy;
+    DropSink sink;
+    core::HotPagePipeline frontend(eq, dram, policy, sink, {});
+    core::Stt stt;
+    std::vector<TierCounts> counts(masks.size());
+    trace::TraceReader reader;
+    EXPECT_EQ(reader.open(trace_path), trace::TraceIoStatus::Ok);
+    trace::ReplayRecord block[512];
+    std::size_t n;
+    while ((n = reader.nextBatch(block, std::size(block))) != 0) {
+        for (std::size_t b = 0; b < n; ++b) {
+            const trace::ReplayRecord &r = block[b];
+            switch (r.kind) {
+              case trace::ReplayKind::Mc:
+                frontend.onMcAccess(r.pa, r.isWrite, r.tick);
+                break;
+              case trace::ReplayKind::PteInit:
+                frontend.rpt().store(
+                    r.ppn, core::RptEntry{r.pid, r.vpn, r.shared,
+                                          static_cast<std::uint8_t>(
+                                              r.huge ? 1 : 0)});
+                break;
+              case trace::ReplayKind::PteSet:
+                frontend.onPteSet(r.pid, r.vpn, r.ppn, r.shared,
+                                  r.huge, r.tick);
+                break;
+              case trace::ReplayKind::PteClear:
+                frontend.onPteClear(r.pid, r.vpn, r.ppn, r.tick);
+                break;
+            }
+            while (auto hp = frontend.ring().pop()) {
+                auto view = stt.feed(hp->pid, hp->vpn);
+                if (!view)
+                    continue;
+                for (std::size_t i = 0; i < masks.size(); ++i) {
+                    auto p = core::runThreeTier(*view, masks[i]);
+                    if (!p)
+                        ++counts[i].noPattern;
+                    else
+                        ++counts[i].predictions[static_cast<unsigned>(
+                            p->tier)];
+                }
+            }
+        }
+    }
+    return counts;
 }
 
 /** Replay @p trace_path under @p hopp; return the MC-side doc. */
@@ -112,22 +194,46 @@ TEST(Replay, FanoutCellsMatchSoloReplays)
     // One shared-frontend pass over the trace must give every policy
     // cell the exact stats and oracle ledger a solo replay of that
     // cell produces — the fan-out is an optimization, not a model.
+    // The cells cover what the fan-out shares: one tier memo serves
+    // masks whose first answering tier differs; one Markov table
+    // serves every Markov cell of a MarkovConfig, batching on or off;
+    // and configs that differ in one Markov knob get tables of their
+    // own. graphx-cc has hot pages that each tier answers first, and
+    // repeated irregular transitions the Markov tier learns.
     std::string path = tmpPath("fanout");
-    recordLive("kmeans-omp", SystemKind::Hopp, path);
+    recordLive("graphx-cc", SystemKind::Hopp, path);
 
+    using namespace core::tiers;
     std::vector<ReplayConfig> cells;
-    for (unsigned mask :
-         {core::tiers::all, core::tiers::ssp, core::tiers::lsp,
-          core::tiers::all | core::tiers::markov}) {
+    auto add = [&cells](unsigned mask, bool batch = false) {
         ReplayConfig cfg;
         cfg.hopp.tierMask = mask;
+        cfg.hopp.batch.enabled = batch;
         cells.push_back(cfg);
-    }
+    };
+    for (unsigned mask : {all, ssp, lsp, rsp, lsp | rsp})
+        add(mask);
+    const std::size_t first_markov = cells.size();
+    add(all | markov);
+    add(ssp | markov);
+    add(lsp | rsp | markov, /*batch=*/true);
+    add(all | markov);
+    cells.back().hopp.markov.chainDepth = 3;
+    add(all | markov);
+    cells.back().hopp.markov.minCount = 3;
+
     trace::TraceReader reader;
     ASSERT_EQ(reader.open(path), trace::TraceIoStatus::Ok);
     ReplayEngine fanout(cells);
     ASSERT_EQ(fanout.run(reader), trace::TraceIoStatus::Ok);
     ASSERT_EQ(fanout.cells(), cells.size());
+    // A Markov table that never predicts would leave its sharing
+    // untested.
+    EXPECT_GT(fanout.pipeline()
+                  .trainer(first_markov)
+                  .stats()
+                  .predictions[static_cast<unsigned>(core::Tier::Mkv)],
+              0u);
 
     for (std::size_t i = 0; i < cells.size(); ++i) {
         trace::TraceReader solo_reader;
@@ -138,6 +244,29 @@ TEST(Replay, FanoutCellsMatchSoloReplays)
             << "cell " << i;
         EXPECT_EQ(fanout.oracleJson(i), solo.oracleJson())
             << "cell " << i;
+    }
+
+    // Solo replays share the tier memo's code with the fan-out, so a
+    // memo answering from a stale view would match them. Without the
+    // Markov tier a trainer's tier counters are its tier decisions
+    // alone: check those against the unshared reference too.
+    std::vector<unsigned> masks(first_markov);
+    for (std::size_t i = 0; i < first_markov; ++i)
+        masks[i] = cells[i].hopp.tierMask;
+    std::vector<TierCounts> unshared = unsharedTierCounts(path, masks);
+    for (std::size_t i = 0; i < first_markov; ++i) {
+        const core::TrainerStats &st =
+            fanout.pipeline().trainer(i).stats();
+        for (unsigned t = 0; t < core::tierCount; ++t) {
+            EXPECT_EQ(st.predictions[t], unshared[i].predictions[t])
+                << "cell " << i << " tier " << t;
+            // Each tier answers on its own somewhere in the trace, so
+            // the memo is exercised past SSP.
+            if (masks[i] == (1u << t)) {
+                EXPECT_GT(st.predictions[t], 0u) << "tier " << t;
+            }
+        }
+        EXPECT_EQ(st.noPattern, unshared[i].noPattern) << "cell " << i;
     }
     std::remove(path.c_str());
 }
