@@ -84,16 +84,15 @@ class Access
             // The rank bytes of the real ways order them by recency, so
             // they must be a permutation of 0..ways-1; padding lanes
             // hold the pad rank for good.
-            const std::uint64_t *ranks = c.rankWords(s);
+            const std::uint8_t *ranks = c.rankBytes(s);
             std::uint64_t seen = 0;
-            for (std::size_t w = 0; w < 8 * c.words_; ++w) {
-                const std::uint64_t rank = Cache::laneByte(ranks, w);
+            for (std::size_t w = 0; w < Cache::kLanes * c.chunks_; ++w) {
+                const unsigned rank = ranks[w];
                 if (w >= c.ways_ && rank != Cache::kPadRank) {
                     r.fail(what, formatMessage(
                                      "set %zu padding lane %zu holds "
-                                     "rank %llu, want %llu",
-                                     s, w, (unsigned long long)rank,
-                                     (unsigned long long)Cache::kPadRank));
+                                     "rank %u, want %u",
+                                     s, w, rank, unsigned{Cache::kPadRank}));
                 } else if (w < c.ways_ && rank < c.ways_) {
                     seen |= 1ull << rank;
                 }
@@ -104,20 +103,18 @@ class Access
                                  "permutation of 0..%zu",
                                  s, c.ways_ - 1));
             }
-            const std::uint64_t *fps = c.fingerprintWords(s);
+            const std::uint8_t *fps = c.fingerprintBytes(s);
             for (std::size_t w = 0; w < c.ways_; ++w) {
                 if (!((c.valid_[s] >> w) & 1))
                     continue;
                 std::uint64_t tag = c.tags_[s * c.ways_ + w];
                 ++valid;
                 tags.push_back(tag);
-                if (Cache::laneByte(fps, w) != Cache::fingerprint(tag)) {
+                if (fps[w] != Cache::fingerprint(tag)) {
                     r.fail(what, formatMessage(
-                                     "set %zu way %zu fingerprint %llx "
+                                     "set %zu way %zu fingerprint %x "
                                      "does not hash tag %llx",
-                                     s, w,
-                                     (unsigned long long)Cache::laneByte(
-                                         fps, w),
+                                     s, w, unsigned{fps[w]},
                                      (unsigned long long)tag));
                 }
                 if ((tag & (c.sets_ - 1)) != s) {
@@ -170,9 +167,8 @@ class Access
     {
         // Way 0 of set 0 takes way 1's rank: two ways share a rank and
         // one rank goes missing.
-        using Cache = decltype(llc.tags_);
-        std::uint64_t *ranks = llc.tags_.rankWords(0);
-        ranks[0] = (ranks[0] & ~0xFFull) | Cache::laneByte(ranks, 1);
+        std::uint8_t *ranks = llc.tags_.rankBytes(0);
+        ranks[0] = ranks[1];
     }
 
     // --- vm::Vms / vm::Cgroup -----------------------------------

@@ -71,10 +71,13 @@ class Pcg32
     }
 
     /** Uniform double in [0, 1). */
-    double
-    uniform()
+    double uniform() { return unit(next()); }
+
+    /** The double uniform() makes of a raw value: @p x / 2^32. */
+    static double
+    unit(std::uint32_t x)
     {
-        return next() * (1.0 / 4294967296.0);
+        return x * (1.0 / 4294967296.0);
     }
 
     /** Bernoulli trial with probability p. */
@@ -89,8 +92,12 @@ class Pcg32
  * Zipfian index sampler over [0, n), used by graph and sort workloads to
  * model skewed access popularity.
  *
- * Uses the classic inverse-CDF-over-precomputed-harmonics method; setup is
- * O(n), sampling is O(log n).
+ * Uses the classic inverse-CDF-over-precomputed-harmonics method: a draw
+ * is the first index whose CDF is >= a uniform u. A Chen-Asau guide table
+ * (one power-of-two bucket count, about one bucket per item) holds that
+ * index for each bucket's lower edge, so a draw starts its scan there:
+ * setup is O(n), sampling O(1) expected, and the index is exactly the
+ * one a binary search over the CDF finds.
  */
 class ZipfSampler
 {
@@ -106,6 +113,12 @@ class ZipfSampler
 
   private:
     std::vector<double> cdf_;
+    /** Per bucket j: the first index whose CDF is >= j / buckets. */
+    std::vector<std::uint32_t> guide_;
+    /** 32 - log2(buckets): a raw draw shifted right by it is its
+     *  bucket. It is 32 for one bucket, so sample() shifts a 64-bit
+     *  value. */
+    unsigned shift_ = 0;
 };
 
 } // namespace hopp

@@ -83,9 +83,7 @@ MarkovTable::dominant(Pid pid, Vpn vpn, Vpn &out) const
 std::vector<Vpn>
 MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth) const
 {
-    if (depth == 0)
-        depth = cfg_.chainDepth;
-    // Prediction list bounded by slots + chainDepth, built once per
+    // Prediction list bounded by slots + depth, built once per
     // hot-page event on the software plane, returned to the caller.
     // hopp-analyze: allow-file(hotpath-alloc)
     std::vector<Vpn> out;

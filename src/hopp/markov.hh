@@ -39,9 +39,6 @@ struct MarkovConfig
     /** Observations before a successor is considered predictable. */
     std::uint16_t minCount = 2;
 
-    /** Successor-chain depth followed per prediction. */
-    unsigned chainDepth = 2;
-
     /** Same knobs = same table on the same hot-page stream: backends
      *  with equal configs can share one (HotPagePipeline's Markov
      *  groups). */
@@ -62,9 +59,9 @@ class MarkovTable
     /**
      * Predict the likely successor chain of (pid, vpn): the dominant
      * successor, its dominant successor, and so on up to @p depth
-     * (cfg.chainDepth when 0), plus the runner-up of the first hop.
+     * hops, plus the runner-up of the first hop.
      */
-    std::vector<Vpn> predict(Pid pid, Vpn vpn, unsigned depth = 0) const;
+    std::vector<Vpn> predict(Pid pid, Vpn vpn, unsigned depth) const;
 
     /** Entries currently held. */
     std::size_t size() const { return table_.size(); }

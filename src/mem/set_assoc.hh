@@ -10,22 +10,23 @@
  *
  * Storage is structure-of-arrays: one flat tag array, one payload
  * array, one valid bitmask word per set, and per set two runs of
- * one-byte-per-way lanes packed into 64-bit words — a fingerprint (a
- * multiplicative hash of the tag) and an LRU rank (0 = MRU). A probe
- * compares a set's fingerprints eight at a time with a SWAR zero-byte
- * test and reads a full tag only for a valid way whose fingerprint
- * matches, in the way hardware prefetch tables match short partial
- * tags; promotion and victim choice are word operations on the ranks.
- * The probe sits behind every simulated LLC access and every LLC miss
- * probes the HPD again, so it is the largest host-side cost of a
- * simulated memory access (see DESIGN.md §14).
+ * one-byte-per-way lanes, sixteen lanes to a chunk — a fingerprint (a
+ * multiplicative hash of the tag) and an LRU rank (0 = MRU). The lanes
+ * are a GCC/Clang vector-extension type, so a probe compares sixteen
+ * fingerprints in one vector compare and reads a full tag only for a
+ * valid way whose fingerprint matches, in the way hardware prefetch
+ * tables match short partial tags; promotion and victim choice are
+ * the same sixteen-lane operations on the ranks. The probe sits behind
+ * every simulated LLC access and every LLC miss probes the HPD again,
+ * so it is the largest host-side cost of a simulated memory access
+ * (see DESIGN.md §14).
  */
 
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -63,10 +64,10 @@ class SetAssocCache
      */
     SetAssocCache(std::size_t sets, std::size_t ways)
         : sets_(sets), setMask_(sets - 1), ways_(ways),
-          words_((ways + 7) / 8),
+          chunks_((ways + kLanes - 1) / kLanes),
           full_(ways >= 64 ? ~0ull : (1ull << ways) - 1),
           tags_(sets * ways, 0), valid_(sets, 0),
-          lanes_(sets * 2 * words_, 0), values_(sets * ways)
+          lanes_(sets * 2 * kLanes * chunks_, 0), values_(sets * ways)
     {
         hopp_assert(sets > 0 && (sets & (sets - 1)) == 0,
                     "set count must be a power of two");
@@ -74,15 +75,11 @@ class SetAssocCache
                     "way count must fit the per-set valid word");
         // Every set starts from one rank order: way w at rank w, the
         // padding lanes past `ways` at kPadRank, where they stay.
-        std::uint64_t ranks[8] = {};
-        for (std::size_t k = 0; k < words_; ++k) {
-            for (std::size_t b = 0; b < 8; ++b) {
-                const std::size_t w = 8 * k + b;
-                ranks[k] |= (w < ways ? w : kPadRank) << (8 * b);
-            }
+        for (std::size_t s = 0; s < sets; ++s) {
+            std::uint8_t *ranks = rankBytes(s);
+            for (std::size_t w = 0; w < kLanes * chunks_; ++w)
+                ranks[w] = static_cast<std::uint8_t>(w < ways ? w : kPadRank);
         }
-        for (std::size_t s = 0; s < sets; ++s)
-            std::copy_n(ranks, words_, rankWords(s));
     }
 
     /** Number of sets. */
@@ -236,14 +233,19 @@ class SetAssocCache
 
     static constexpr std::size_t npos = ~std::size_t{0};
 
+    /** Byte lanes per chunk: one vector compare covers sixteen ways. */
+    static constexpr std::size_t kLanes = 16;
+
     /** Rank byte of the padding lanes past `ways`; above every real
      *  rank (at most 63), so promotion never moves it. */
-    static constexpr std::uint64_t kPadRank = 0x7F;
+    static constexpr std::uint8_t kPadRank = 0x7F;
 
-    /** Lane-wise constants: 0x01 (times a byte: broadcast) and 0x80
-     *  (each lane's high bit) in every byte. */
-    static constexpr std::uint64_t kLow = 0x0101010101010101ull;
-    static constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+    /** Sixteen byte lanes as one vector-extension value, and the same
+     *  bytes seen as two 64-bit halves. */
+    using Lanes = std::uint8_t __attribute__((vector_size(kLanes)));
+    using Halves = std::uint64_t __attribute__((vector_size(kLanes)));
+    static_assert(std::endian::native == std::endian::little,
+                  "matchLanes reads lane b as byte b of each half");
 
     static constexpr std::uint64_t
     rawKey(Key tag)
@@ -258,60 +260,69 @@ class SetAssocCache
 
     /** One-byte partial tag: the top byte of a multiplicative hash,
      *  so every key bit above the set index feeds it. */
-    static constexpr std::uint64_t
+    static constexpr std::uint8_t
     fingerprint(std::uint64_t raw)
     {
-        return (raw * 0x9E3779B97F4A7C15ull) >> 56;
+        return static_cast<std::uint8_t>((raw * 0x9E3779B97F4A7C15ull) >> 56);
     }
 
-    /** Bit w set for each byte lane w of @p words equal to @p byte. */
+    static Lanes
+    loadLanes(const std::uint8_t *p)
+    {
+        Lanes v;
+        std::memcpy(&v, p, sizeof v);
+        return v;
+    }
+
+    static void
+    storeLanes(std::uint8_t *p, Lanes v)
+    {
+        std::memcpy(p, &v, sizeof v);
+    }
+
+    /** Bit w set for each lane w of @p lanes equal to @p byte. */
     std::uint64_t
-    matchLanes(const std::uint64_t *words, std::uint64_t byte) const
+    matchLanes(const std::uint8_t *lanes, std::uint8_t byte) const
     {
-        const std::uint64_t probe = byte * kLow;
-        std::uint64_t lanes = 0;
-        for (std::size_t k = 0; k < words_; ++k) {
-            const std::uint64_t x = words[k] ^ probe;
-            // Exact zero-byte test (no borrow between lanes): 0x80 in
-            // each byte of x that is zero, nothing elsewhere.
-            const std::uint64_t zero =
-                ~(((x & ~kHigh) + ~kHigh) | x | ~kHigh);
-            // Gather the eight 0x80 flags into the top byte, in order.
-            lanes |= (((zero >> 7) * 0x0102040810204080ull) >> 56)
-                     << (8 * k);
+        // Bit b of byte b in each half: ANDed with a lane-wise compare
+        // (0xFF or 0x00 per lane), it keeps one distinct bit per
+        // matching lane, and a multiply by 0x01 in every byte sums the
+        // eight bytes, carry-free, into the top byte.
+        constexpr std::uint64_t kBit = 0x8040201008040201ull;
+        constexpr std::uint64_t kSum = 0x0101010101010101ull;
+        std::uint64_t mask = 0;
+        for (std::size_t k = 0; k < chunks_; ++k) {
+            const Halves eq =
+                std::bit_cast<Halves>(loadLanes(lanes + kLanes * k) == byte);
+            const std::uint64_t lo = ((eq[0] & kBit) * kSum) >> 56;
+            const std::uint64_t hi = ((eq[1] & kBit) * kSum) >> 56;
+            mask |= (lo | hi << 8) << (kLanes * k);
         }
-        return lanes;
+        return mask;
     }
 
-    /** The byte of lane @p w in a set's run of lane words. */
-    static std::uint64_t
-    laneByte(const std::uint64_t *words, std::size_t w)
+    std::uint8_t *
+    fingerprintBytes(std::size_t set)
     {
-        return (words[w / 8] >> (8 * (w % 8))) & 0xFF;
+        return lanes_.data() + set * 2 * kLanes * chunks_;
     }
 
-    std::uint64_t *
-    fingerprintWords(std::size_t set)
+    const std::uint8_t *
+    fingerprintBytes(std::size_t set) const
     {
-        return lanes_.data() + set * 2 * words_;
+        return lanes_.data() + set * 2 * kLanes * chunks_;
     }
 
-    const std::uint64_t *
-    fingerprintWords(std::size_t set) const
+    std::uint8_t *
+    rankBytes(std::size_t set)
     {
-        return lanes_.data() + set * 2 * words_;
+        return fingerprintBytes(set) + kLanes * chunks_;
     }
 
-    std::uint64_t *
-    rankWords(std::size_t set)
+    const std::uint8_t *
+    rankBytes(std::size_t set) const
     {
-        return fingerprintWords(set) + words_;
-    }
-
-    const std::uint64_t *
-    rankWords(std::size_t set) const
-    {
-        return fingerprintWords(set) + words_;
+        return fingerprintBytes(set) + kLanes * chunks_;
     }
 
     std::size_t
@@ -327,7 +338,7 @@ class SetAssocCache
     findIndex(std::size_t set, std::uint64_t raw) const
     {
         std::uint64_t cand =
-            matchLanes(fingerprintWords(set), fingerprint(raw)) &
+            matchLanes(fingerprintBytes(set), fingerprint(raw)) &
             valid_[set];
         const std::uint64_t *tags = tags_.data() + set * ways_;
         for (; cand; cand &= cand - 1) {
@@ -356,7 +367,8 @@ class SetAssocCache
         }
         *evicted = true;
         return static_cast<std::size_t>(
-            std::countr_zero(matchLanes(rankWords(set), ways_ - 1)));
+            std::countr_zero(matchLanes(
+                rankBytes(set), static_cast<std::uint8_t>(ways_ - 1))));
     }
 
     void
@@ -364,9 +376,7 @@ class SetAssocCache
     {
         tags_[set * ways_ + w] = raw;
         values_[set * ways_ + w] = std::move(value);
-        std::uint64_t &fp = fingerprintWords(set)[w / 8];
-        const unsigned shift = 8 * (w % 8);
-        fp = (fp & ~(0xFFull << shift)) | (fingerprint(raw) << shift);
+        fingerprintBytes(set)[w] = fingerprint(raw);
         promote(set, w);
     }
 
@@ -375,28 +385,29 @@ class SetAssocCache
     void
     promote(std::size_t set, std::size_t w)
     {
-        std::uint64_t *ranks = rankWords(set);
-        const std::uint64_t rank = laneByte(ranks, w) * kLow;
-        for (std::size_t k = 0; k < words_; ++k) {
-            // (x | 0x80) - rank keeps the high bit exactly in the
-            // lanes with x >= rank, and never borrows across lanes.
-            const std::uint64_t younger =
-                ~((ranks[k] | kHigh) - rank) & kHigh;
-            ranks[k] += younger >> 7;
+        std::uint8_t *ranks = rankBytes(set);
+        const std::uint8_t rank = ranks[w];
+        for (std::size_t k = 0; k < chunks_; ++k) {
+            // A lane-wise compare is 0xFF (-1) where true, so
+            // subtracting it adds one to every lane ranked below
+            // `rank`; the pads (0x7F) are never below it.
+            const Lanes v = loadLanes(ranks + kLanes * k);
+            storeLanes(ranks + kLanes * k,
+                       v - std::bit_cast<Lanes>(v < rank));
         }
-        ranks[w / 8] &= ~(0xFFull << (8 * (w % 8)));
+        ranks[w] = 0;
     }
 
     std::size_t sets_;
     std::uint64_t setMask_; //!< sets_ - 1, precomputed for setIndex()
     std::size_t ways_;
-    std::size_t words_;  //!< lane words per run: ceil(ways / 8)
+    std::size_t chunks_; //!< 16-lane chunks per run: ceil(ways / 16)
     std::uint64_t full_; //!< valid word of a full set
     std::vector<std::uint64_t> tags_;  //!< sets x ways raw keys
     std::vector<std::uint64_t> valid_; //!< one bit per way, per set
-    /** Per set: words_ fingerprint words, then words_ rank words;
-     *  byte b of word k is lane (way) 8k + b. */
-    std::vector<std::uint64_t> lanes_;
+    /** Per set: 16 * chunks_ fingerprint bytes, then as many rank
+     *  bytes; byte w of each run is lane (way) w. */
+    std::vector<std::uint8_t> lanes_;
     std::vector<Value> values_; //!< sets x ways payloads
     std::size_t live_ = 0;
 };

@@ -18,9 +18,9 @@ TEST(MarkovTable, PredictsAfterMinCountObservations)
 {
     MarkovTable t;
     t.train(Pid{1}, Vpn{10}, Vpn{77});
-    EXPECT_TRUE(t.predict(Pid{1}, Vpn{10}).empty()) << "one observation is noise";
+    EXPECT_TRUE(t.predict(Pid{1}, Vpn{10}, 2).empty()) << "one observation is noise";
     t.train(Pid{1}, Vpn{10}, Vpn{77});
-    auto p = t.predict(Pid{1}, Vpn{10});
+    auto p = t.predict(Pid{1}, Vpn{10}, 2);
     ASSERT_FALSE(p.empty());
     EXPECT_EQ(p[0], Vpn{77});
 }
@@ -74,8 +74,8 @@ TEST(MarkovTable, PidsAreIndependent)
     MarkovTable t;
     t.train(Pid{1}, Vpn{10}, Vpn{20});
     t.train(Pid{1}, Vpn{10}, Vpn{20});
-    EXPECT_FALSE(t.predict(Pid{1}, Vpn{10}).empty());
-    EXPECT_TRUE(t.predict(Pid{2}, Vpn{10}).empty());
+    EXPECT_FALSE(t.predict(Pid{1}, Vpn{10}, 2).empty());
+    EXPECT_TRUE(t.predict(Pid{2}, Vpn{10}, 2).empty());
 }
 
 TEST(MarkovTable, CapacityBoundedByConfig)

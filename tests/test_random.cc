@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/random.hh"
@@ -95,4 +97,41 @@ TEST(ZipfSampler, SamplesWithinRange)
     ZipfSampler zipf(7, 1.2);
     for (int i = 0; i < 10000; ++i)
         EXPECT_LT(zipf.sample(rng), 7u);
+}
+
+TEST(ZipfSampler, MatchesLowerBoundReference)
+{
+    // A draw is the inverse CDF of one uniform(): the first index whose
+    // CDF is >= u (n - 1 past the end), from exactly one next(). The
+    // reference builds its own CDF and runs std::lower_bound, fed by a
+    // twin generator that calls uniform().
+    for (std::uint64_t n : {1u, 2u, 7u, 384u, 1000u, 4097u}) {
+        for (double theta : {0.0, 0.85, 1.2}) {
+            SCOPED_TRACE(testing::Message() << "n=" << n
+                                            << " theta=" << theta);
+            std::vector<double> cdf(n);
+            double sum = 0.0;
+            for (std::uint64_t i = 0; i < n; ++i) {
+                sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
+                cdf[i] = sum;
+            }
+            for (double &v : cdf)
+                v /= sum;
+
+            const ZipfSampler zipf(n, theta);
+            Pcg32 drawn(n * 31 + 7), twin(n * 31 + 7);
+            for (int k = 0; k < 100000; ++k) {
+                const auto it =
+                    std::lower_bound(cdf.begin(), cdf.end(), twin.uniform());
+                const std::uint64_t want =
+                    it == cdf.end()
+                        ? n - 1
+                        : static_cast<std::uint64_t>(it - cdf.begin());
+                ASSERT_EQ(zipf.sample(drawn), want) << "draw " << k;
+            }
+            // Same state: the sampler took one next() per draw.
+            for (int k = 0; k < 4; ++k)
+                ASSERT_EQ(drawn.next(), twin.next());
+        }
+    }
 }

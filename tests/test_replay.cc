@@ -197,9 +197,10 @@ TEST(Replay, FanoutCellsMatchSoloReplays)
     // The cells cover what the fan-out shares: one tier memo serves
     // masks whose first answering tier differs; one Markov table
     // serves every Markov cell of a MarkovConfig, batching on or off;
-    // and configs that differ in one Markov knob get tables of their
-    // own. graphx-cc has hot pages that each tier answers first, and
-    // repeated irregular transitions the Markov tier learns.
+    // and configs that differ in table geometry or in minCount get
+    // tables of their own. graphx-cc has hot pages that each tier
+    // answers first, and repeated irregular transitions the Markov
+    // tier learns.
     std::string path = tmpPath("fanout");
     recordLive("graphx-cc", SystemKind::Hopp, path);
 
@@ -217,8 +218,11 @@ TEST(Replay, FanoutCellsMatchSoloReplays)
     add(all | markov);
     add(ssp | markov);
     add(lsp | rsp | markov, /*batch=*/true);
+    // A 4-way, 64-set table evicts at this scale, so its predictions
+    // differ from the default table's.
     add(all | markov);
-    cells.back().hopp.markov.chainDepth = 3;
+    cells.back().hopp.markov.entries = 256;
+    cells.back().hopp.markov.ways = 4;
     add(all | markov);
     cells.back().hopp.markov.minCount = 3;
 

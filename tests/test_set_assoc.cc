@@ -333,11 +333,17 @@ checkAgainstReference(std::size_t sets, std::size_t ways, int ops,
 
 TEST(SetAssoc, MatchesReferenceLruOnEveryEntryPoint)
 {
-    // Geometries: one way; partial byte lanes (2, 7); the LLC/HPD/RPT
-    // associativity; the full 64-bit valid word.
+    // Geometries around the 16-lane chunk: one way; partial chunks
+    // (2, 7, and 8, the Markov table's associativity); exactly one
+    // chunk, the LLC/HPD/RPT associativity; a second chunk holding one
+    // real lane (17); a padded third chunk (40); and four full chunks,
+    // the whole 64-bit valid word.
     checkAgainstReference(1, 1, 20000, 1);
     checkAgainstReference(4, 2, 20000, 2);
     checkAgainstReference(2, 7, 40000, 3);
+    checkAgainstReference(4, 8, 100000, 6);
     checkAgainstReference(8, 16, 200000, 4);
+    checkAgainstReference(2, 17, 100000, 7);
+    checkAgainstReference(2, 40, 150000, 8);
     checkAgainstReference(2, 64, 200000, 5);
 }

@@ -212,8 +212,12 @@ lex(const std::string &src)
                 std::size_t open = q + 2;
                 std::size_t paren = src.find('(', open);
                 if (paren != std::string::npos) {
-                    std::string close =
-                        ")" + src.substr(open, paren - open) + "\"";
+                    // Appended in place: GCC 12 -O2 misreads
+                    // `")" + std::string&&` as an overlapping memcpy
+                    // (-Wrestrict) and fails a -Werror Release build.
+                    std::string close(1, ')');
+                    close.append(src, open, paren - open);
+                    close += '"';
                     std::size_t end = src.find(close, paren + 1);
                     end = end == std::string::npos ? src.size()
                                                    : end + close.size();
