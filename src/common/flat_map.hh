@@ -160,9 +160,11 @@ class FlatU64Map
         bool used = false;
     };
 
-    // Max load factor loadNum/loadDen = 7/10.
-    static constexpr std::size_t loadNum = 7;
-    static constexpr std::size_t loadDen = 10;
+    // Max load factor loadNum/loadDen = 1/2: tables grown by use sit
+    // between 1/4 and 1/2 full, which keeps linear-probe runs short
+    // (DESIGN §14).
+    static constexpr std::size_t loadNum = 1;
+    static constexpr std::size_t loadDen = 2;
     static constexpr std::size_t minSlots = 16;
 
     /** splitmix64 finalizer: full-avalanche, stdlib-independent. */

@@ -80,18 +80,17 @@ MarkovTable::dominant(Pid pid, Vpn vpn, Vpn &out) const
     return true;
 }
 
-std::vector<Vpn>
+MarkovChain
 MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth) const
 {
-    // Prediction list bounded by slots + depth, built once per
-    // hot-page event on the software plane, returned to the caller.
-    // hopp-analyze: allow-file(hotpath-alloc)
-    std::vector<Vpn> out;
+    hopp_assert(depth <= maxMarkovDepth,
+                "Markov chain depth %u exceeds %u", depth, maxMarkovDepth);
+    MarkovChain out;
     // Runner-up of the first hop, if it is also confident.
     if (const Entry *e = table_.peek(vm::pageKey(pid, vpn))) {
         for (unsigned s = 0; s < MarkovConfig::slots; ++s) {
             if (e->count[s] >= cfg_.minCount)
-                out.push_back(e->succ[s]);
+                out.add(e->succ[s]);
         }
     }
     if (out.empty())
@@ -102,7 +101,7 @@ MarkovTable::predict(Pid pid, Vpn vpn, unsigned depth) const
         Vpn next;
         if (!dominant(pid, cur, next))
             break;
-        out.push_back(next);
+        out.add(next);
         cur = next;
     }
     return out;

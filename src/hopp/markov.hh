@@ -14,8 +14,9 @@
 
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.hh"
 #include "mem/set_assoc.hh"
@@ -45,6 +46,34 @@ struct MarkovConfig
     bool operator==(const MarkovConfig &) const = default;
 };
 
+/** Deepest successor chain MarkovTable::predict walks. */
+inline constexpr unsigned maxMarkovDepth = 16;
+
+/**
+ * One prediction, held inline: the first hop's confident successors
+ * (at most MarkovConfig::slots), then one page per further hop.
+ */
+class MarkovChain
+{
+  public:
+    static constexpr std::size_t capacity =
+        MarkovConfig::slots + maxMarkovDepth - 1;
+
+    std::size_t size() const { return n_; }
+    bool empty() const { return n_ == 0; }
+    Vpn front() const { return vpns_[0]; }
+    Vpn operator[](std::size_t i) const { return vpns_[i]; }
+    const Vpn *begin() const { return vpns_.data(); }
+    const Vpn *end() const { return vpns_.data() + n_; }
+
+    /** Append one page; predict() never exceeds capacity. */
+    void add(Vpn v) { vpns_[n_++] = v; }
+
+  private:
+    std::array<Vpn, capacity> vpns_;
+    std::size_t n_ = 0;
+};
+
 /**
  * The correlation table.
  */
@@ -59,9 +88,10 @@ class MarkovTable
     /**
      * Predict the likely successor chain of (pid, vpn): the dominant
      * successor, its dominant successor, and so on up to @p depth
-     * hops, plus the runner-up of the first hop.
+     * hops (at most maxMarkovDepth), plus the runner-up of the first
+     * hop.
      */
-    std::vector<Vpn> predict(Pid pid, Vpn vpn, unsigned depth) const;
+    MarkovChain predict(Pid pid, Vpn vpn, unsigned depth) const;
 
     /** Entries currently held. */
     std::size_t size() const { return table_.size(); }

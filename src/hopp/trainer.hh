@@ -184,9 +184,9 @@ class Trainer
         // Pseudo-stream id packing. hopp-analyze: allow(raw)
         std::uint64_t stream_id = (1ull << 62) | hp.pid.raw();
         auto depth = static_cast<unsigned>(std::min<std::uint64_t>(
-            16, std::max<std::uint64_t>(
-                    2, policy_.offsets(stream_id).front())));
-        auto targets = markov_->predict(hp.pid, hp.vpn, depth);
+            maxMarkovDepth, std::max<std::uint64_t>(
+                                2, policy_.offsets(stream_id).front())));
+        MarkovChain targets = markov_->predict(hp.pid, hp.vpn, depth);
         if (targets.empty())
             return false;
         ++stats_.predictions[static_cast<unsigned>(Tier::Mkv)];

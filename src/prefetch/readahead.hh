@@ -64,12 +64,12 @@ class Readahead : public Prefetcher, public vm::PageEventListener
             adaptWindow();
         if (ctx.slot == remote::noSlot)
             return;
-        auto cluster =
-            backend_.neighbors(ctx.slot, window_ / 2, window_ / 2);
-        for (const auto &owner : cluster) {
-            vms_.prefetchToSwapCache(owner.pid, owner.vpn,
-                                     origin::readahead, ctx.now);
-        }
+        backend_.forEachNeighbor(
+            ctx.slot, window_ / 2, window_ / 2,
+            [this, &ctx](const remote::SlotOwner &owner) {
+                vms_.prefetchToSwapCache(owner.pid, owner.vpn,
+                                         origin::readahead, ctx.now);
+            });
     }
 
     // Self-observation for window adaptation (swapcache hits are the

@@ -9,10 +9,11 @@
 
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
-#include "common/flat_map.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "net/rdma.hh"
 #include "remote/remote_node.hh"
@@ -36,10 +37,10 @@ class SwapBackend
     SwapBackend(net::RdmaFabric &fabric, RemoteNode &node)
         : fabric_(fabric), node_(node)
     {
-        // The node provisions ~2x the combined footprint; at most half
-        // of it is ever live at once, so sizing for that bound means
-        // the reverse map never rehashes on the eviction path.
-        owners_.reserve(node.capacity() / 2);
+        // Reserved, not built: the node hands slot ids out densely from
+        // 0, so the table only ever touches slots below its high-water
+        // mark, and appending one never reallocates.
+        owners_.reserve(node.capacity());
     }
 
     /** Allocate a slot for (pid, vpn); records the reverse mapping. */
@@ -47,7 +48,13 @@ class SwapBackend
     allocate(Pid pid, Vpn vpn)
     {
         SwapSlot slot = node_.allocate();
-        owners_[slot] = SlotOwner{pid, vpn};
+        hopp_assert(slot <= owners_.size(), "swap slot ids are not dense");
+        const Entry e{vpn, pid, true};
+        if (slot == owners_.size())
+            owners_.push_back(e);
+        else
+            owners_[slot] = e;
+        ++live_;
         return slot;
     }
 
@@ -55,7 +62,10 @@ class SwapBackend
     void
     release(SwapSlot slot)
     {
-        owners_.erase(slot);
+        hopp_assert(slot < owners_.size() && owners_[slot].live,
+                    "release of a slot with no owner");
+        owners_[slot].live = false;
+        --live_;
         node_.release(slot);
     }
 
@@ -63,30 +73,29 @@ class SwapBackend
     std::optional<SlotOwner>
     owner(SwapSlot slot) const
     {
-        const SlotOwner *o = owners_.find(slot);
-        if (!o)
+        if (slot >= owners_.size() || !owners_[slot].live)
             return std::nullopt;
-        return *o;
+        return owners_[slot].owner();
     }
 
     /**
-     * Pages owning the slots in [slot - before, slot + after], excluding
-     * @p slot itself. This is the neighbourhood swap-offset readahead
-     * fetches around a faulting slot.
+     * Call @p fn(SlotOwner) for each live slot in [slot - before,
+     * slot + after], excluding @p slot itself, in ascending slot
+     * order. This is the neighbourhood swap-offset readahead fetches
+     * around a faulting slot. The window is read as it is visited, so
+     * @p fn must not allocate or release slots.
      */
-    std::vector<SlotOwner>
-    neighbors(SwapSlot slot, std::uint64_t before,
-              std::uint64_t after) const
+    template <typename Fn>
+    void
+    forEachNeighbor(SwapSlot slot, std::uint64_t before,
+                    std::uint64_t after, Fn &&fn) const
     {
-        std::vector<SlotOwner> out;
         SwapSlot lo = slot >= before ? slot - before : 0;
-        for (SwapSlot s = lo; s <= slot + after; ++s) {
-            if (s == slot)
-                continue;
-            if (const SlotOwner *o = owners_.find(s))
-                out.push_back(*o);
+        SwapSlot end = std::min<SwapSlot>(slot + after + 1, owners_.size());
+        for (SwapSlot s = lo; s < end; ++s) {
+            if (s != slot && owners_[s].live)
+                fn(owners_[s].owner());
         }
-        return out;
     }
 
     /**
@@ -155,15 +164,26 @@ class SwapBackend
     std::uint64_t batchReads() const { return batchReads_; }
 
     /** Live slot -> page mappings (for tests). */
-    std::size_t liveMappings() const { return owners_.size(); }
+    std::size_t liveMappings() const { return live_; }
 
   private:
+    /** One slot's owner, laid out in SlotOwner's 16 bytes. */
+    struct Entry
+    {
+        Vpn vpn;
+        Pid pid;
+        bool live = false;
+
+        SlotOwner owner() const { return SlotOwner{pid, vpn}; }
+    };
+
     net::RdmaFabric &fabric_;
     RemoteNode &node_;
-    /// Flat open-addressed reverse map (PR 4 idiom): slot lookups sit
-    /// on the readahead neighbourhood scan, where probing a contiguous
-    /// slot array beats chasing unordered_map nodes.
-    FlatU64Map<SlotOwner> owners_;
+    /// Owner of every slot the node has handed out, indexed by slot:
+    /// a lookup is one index, and the readahead window is a
+    /// contiguous scan.
+    std::vector<Entry> owners_;
+    std::size_t live_ = 0;
     std::uint64_t demandReads_ = 0;
     std::uint64_t prefetchReads_ = 0;
     std::uint64_t writebacks_ = 0;

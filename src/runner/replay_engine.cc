@@ -94,12 +94,30 @@ ReplayEngine::ReplayEngine(const std::vector<ReplayConfig> &cells)
             pipeline_.addReplayBackend(cell.policy, cell.sink,
                                        cell.cfg.hopp);
     }
-    shadow_.reserve(1 << 16);
-    pages_.reserve(1 << 16);
     // Sized for the common case so the replay loop's ledger updates
     // do not allocate; growth past this is amortized.
     ready_.reserve(cells_.size() << 12);
     freeRows_.reserve(1 << 12);
+    // Seed the request memo with a true (key, id) pair, so its hit
+    // test is one compare with no validity flag.
+    lastId_ = pageId(lastKey_);
+}
+
+std::uint32_t
+ReplayEngine::pageId(std::uint64_t key)
+{
+    const std::size_t known = ids_.size();
+    std::uint32_t &id = ids_[key];
+    if (ids_.size() != known) {
+        hopp_assert(ledger_.size() < ~std::uint32_t{0},
+                    "replay page ids exhausted");
+        id = static_cast<std::uint32_t>(ledger_.size());
+        // One entry per distinct page, appended on first sight:
+        // geometric growth, amortized over the whole replay.
+        // hopp-analyze: allow(hotpath-alloc)
+        ledger_.push_back(PageOracle{});
+    }
+    return id;
 }
 
 std::uint32_t
@@ -120,7 +138,12 @@ ReplayEngine::oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now)
 {
     Cell &c = *cells_[cell];
     ++c.result.requested;
-    PageOracle &po = pages_[vm::pageKey(pid, vpn)];
+    const std::uint64_t key = vm::pageKey(pid, vpn);
+    if (key != lastKey_) {
+        lastKey_ = key;
+        lastId_ = pageId(key);
+    }
+    PageOracle &po = ledger_[lastId_];
     if (po.pendingMask == 0)
         po.row = takeRow();
     // Re-requesting a page whose prediction was never consumed means
@@ -137,9 +160,9 @@ ReplayEngine::oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now)
 }
 
 void
-ReplayEngine::oracleDemand(Pid pid, Vpn vpn, Tick now)
+ReplayEngine::oracleDemand(std::uint32_t page, Tick now)
 {
-    PageOracle &po = pages_[vm::pageKey(pid, vpn)];
+    PageOracle &po = ledger_[page];
     std::uint32_t pending = po.pendingMask;
     if (pending != 0) {
         po.pendingMask = 0;
@@ -175,10 +198,9 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
       case trace::ReplayKind::Mc: {
         ++mcAccesses_;
         if (!r.isWrite) {
-            const std::uint64_t *key = shadow_.find(pageOf(r.pa).raw()); // hopp-analyze: allow(raw) map key
-            if (key)
-                oracleDemand(vm::keyPid(*key), vm::keyVpn(*key),
-                             r.tick);
+            const std::uint32_t *page = frames_.find(pageOf(r.pa).raw()); // hopp-analyze: allow(raw) map key
+            if (page)
+                oracleDemand(*page, r.tick);
         }
         pipeline_.onMcAccess(r.pa, r.isWrite, r.tick);
         break;
@@ -193,18 +215,18 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
             r.ppn, core::RptEntry{r.pid, r.vpn, r.shared,
                                   static_cast<std::uint8_t>(
                                       r.huge ? 1 : 0)});
-        shadow_[r.ppn.raw()] = vm::pageKey(r.pid, r.vpn); // hopp-analyze: allow(raw) map key
+        frames_[r.ppn.raw()] = pageId(vm::pageKey(r.pid, r.vpn)); // hopp-analyze: allow(raw) map key
         break;
       case trace::ReplayKind::PteSet:
         ++pteEvents_;
         pipeline_.onPteSet(r.pid, r.vpn, r.ppn, r.shared, r.huge,
                            r.tick);
-        shadow_[r.ppn.raw()] = vm::pageKey(r.pid, r.vpn); // hopp-analyze: allow(raw) map key
+        frames_[r.ppn.raw()] = pageId(vm::pageKey(r.pid, r.vpn)); // hopp-analyze: allow(raw) map key
         break;
       case trace::ReplayKind::PteClear:
         ++pteEvents_;
         pipeline_.onPteClear(r.pid, r.vpn, r.ppn, r.tick);
-        shadow_.erase(r.ppn.raw()); // hopp-analyze: allow(raw) map key
+        frames_.erase(r.ppn.raw()); // hopp-analyze: allow(raw) map key
         break;
     }
     ++records_;

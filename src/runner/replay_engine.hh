@@ -23,14 +23,16 @@
  * (HotPagePipeline::addReplayBackend). What the cells' software
  * halves share is paid once too: one STT, one tier memo and one
  * Markov table per distinct config (see HotPagePipeline), and one
- * page-major oracle ledger — a prediction costs one probe of the
- * shared page table, and a demand read visits one contiguous row of
- * arrival ticks for the cells that predicted the page. Per cell, both
- * the MC-side stats document and the oracle ledger are byte-identical
- * to a solo replay of that cell; the per-record cost of an extra cell
- * is zero (cells only pay per hot page and per prediction). This is
- * what makes a software-policy sweep run at memory speed rather than
- * at simulation speed.
+ * page-major oracle ledger — a page gets a dense id the first time the
+ * engine sees it, a demand read finds that id with one probe of the
+ * frame table, a prediction with at most one probe of the key table,
+ * and a demand visits one contiguous row of arrival ticks for the
+ * cells that predicted the page. Per cell, both the MC-side stats
+ * document and the oracle ledger are byte-identical to a solo replay
+ * of that cell; the per-record cost of an extra cell is zero (cells
+ * only pay per hot page and per prediction). This is what makes a
+ * software-policy sweep run at memory speed rather than at simulation
+ * speed.
  */
 
 #pragma once
@@ -204,7 +206,9 @@ class ReplayEngine
 
     void dispatch(const trace::ReplayRecord &r);
     void oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now);
-    void oracleDemand(Pid pid, Vpn vpn, Tick now);
+    void oracleDemand(std::uint32_t page, Tick now);
+    /** The dense id of page key @p key, assigned on first sight. */
+    std::uint32_t pageId(std::uint64_t key);
     /** A free ready_ row, recycled or appended. */
     std::uint32_t takeRow();
 
@@ -222,13 +226,20 @@ class ReplayEngine
     std::uint64_t demandPages_ = 0;
     Tick lastTick_;
 
-    /// ppn -> pageKey(pid, vpn) shadow of the replayed mappings; the
-    /// oracle uses it (not the lazily written-back Rpt) to resolve
-    /// demand reads.
-    FlatU64Map<std::uint64_t> shadow_;
-    /// pageKey -> shared oracle state (one probe per request or
-    /// demand read regardless of cell count).
-    FlatU64Map<PageOracle> pages_;
+    /// pageKey(pid, vpn) -> dense page id. Ids are handed out in
+    /// first-sight order and never move or die, so an id stays valid
+    /// for the whole run.
+    FlatU64Map<std::uint32_t> ids_;
+    /// ppn -> page id of the replayed mappings; the oracle uses it
+    /// (not the lazily written-back Rpt) to resolve demand reads.
+    FlatU64Map<std::uint32_t> frames_;
+    /// Shared oracle state indexed by page id (one entry per page ever
+    /// mapped or predicted, whatever the cell count).
+    std::vector<PageOracle> ledger_;
+    /// Last-key memo for oracleRequest: consecutive predictions very
+    /// often name the same page (cells whose tier and offset agree).
+    std::uint64_t lastKey_ = ~std::uint64_t{0};
+    std::uint32_t lastId_ = 0;
     /// The page-major oracle ledger: row r holds cells() modeled
     /// arrival ticks, and [r * cells() + i] is live while cell i's bit
     /// is set in the pendingMask of the page owning row r. A demand

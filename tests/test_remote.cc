@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
+#include <vector>
+
+#include "common/random.hh"
 #include "remote/remote_node.hh"
 #include "remote/swap_backend.hh"
 
@@ -56,6 +61,19 @@ struct BackendFixture : ::testing::Test
     SwapBackend backend{fabric, node};
 };
 
+/** The owners forEachNeighbor visits, in visiting order. */
+std::vector<SlotOwner>
+neighbors(const SwapBackend &backend, SwapSlot slot,
+          std::uint64_t before, std::uint64_t after)
+{
+    std::vector<SlotOwner> out;
+    backend.forEachNeighbor(slot, before, after,
+                            [&out](const SlotOwner &o) {
+                                out.push_back(o);
+                            });
+    return out;
+}
+
 } // namespace
 
 TEST_F(BackendFixture, AllocateRecordsOwner)
@@ -74,7 +92,7 @@ TEST_F(BackendFixture, NeighborsReturnAdjacentSlotOwners)
     // Evict pages in order: slots 0..4 belong to vpns 10..14.
     for (std::uint64_t v = 10; v <= 14; ++v)
         backend.allocate(Pid{1}, Vpn{v});
-    auto around = backend.neighbors(2, 2, 2);
+    auto around = neighbors(backend, 2, 2, 2);
     ASSERT_EQ(around.size(), 4u);
     EXPECT_EQ(around[0].vpn, Vpn{10});
     EXPECT_EQ(around[1].vpn, Vpn{11});
@@ -86,7 +104,7 @@ TEST_F(BackendFixture, NeighborsClampAtSlotZero)
 {
     backend.allocate(Pid{1}, Vpn{10});
     backend.allocate(Pid{1}, Vpn{11});
-    auto around = backend.neighbors(0, 4, 1);
+    auto around = neighbors(backend, 0, 4, 1);
     ASSERT_EQ(around.size(), 1u);
     EXPECT_EQ(around[0].vpn, Vpn{11});
 }
@@ -96,9 +114,77 @@ TEST_F(BackendFixture, NeighborsSkipFreedSlots)
     for (std::uint64_t v = 10; v <= 14; ++v)
         backend.allocate(Pid{1}, Vpn{v});
     backend.release(1);
-    auto around = backend.neighbors(2, 2, 0);
+    auto around = neighbors(backend, 2, 2, 0);
     ASSERT_EQ(around.size(), 1u);
     EXPECT_EQ(around[0].vpn, Vpn{10});
+}
+
+TEST_F(BackendFixture, SlotOwnersMatchMapReferenceUnderChurn)
+{
+    // Seeded allocate/release churn against a std::map model. Freed
+    // slots go to new pages (vpns are never reused), so a stale owner
+    // left behind by a release would show up here.
+    RemoteNode small(96);
+    SwapBackend b(fabric, small);
+    std::map<SwapSlot, SlotOwner> model;
+    Pcg32 rng(20261019);
+    std::uint64_t next_vpn = 1000;
+    const std::uint64_t windows[][2] = {{0, 0}, {1, 1}, {4, 4},
+                                        {0, 8}, {8, 0}, {3, 5}};
+    for (int step = 0; step < 3000; ++step) {
+        // Alternate filling and draining phases, so the node runs
+        // full, empty and in between, and recycles freed slots.
+        const std::uint32_t grow_in_4 = (step / 500) % 2 == 0 ? 3 : 1;
+        bool grow = model.empty() || (model.size() < small.capacity() &&
+                                      rng.below(4) < grow_in_4);
+        if (grow) {
+            Pid pid{1 + rng.below(4)};
+            Vpn vpn{next_vpn++};
+            SwapSlot s = b.allocate(pid, vpn);
+            ASSERT_EQ(model.count(s), 0u)
+                << "slot " << s << " handed out while live";
+            model[s] = SlotOwner{pid, vpn};
+        } else {
+            const std::uint32_t victim =
+                rng.below(static_cast<std::uint32_t>(model.size()));
+            auto it = std::next(model.begin(), victim);
+            b.release(it->first);
+            model.erase(it);
+        }
+
+        ASSERT_EQ(b.liveMappings(), model.size()) << "step " << step;
+        const SwapSlot high = small.highWater();
+        for (SwapSlot s = 0; s < high + 4; ++s) {
+            auto want = model.find(s);
+            auto got = b.owner(s);
+            ASSERT_EQ(got.has_value(), want != model.end())
+                << "step " << step << " slot " << s;
+            if (got) {
+                EXPECT_EQ(got->pid, want->second.pid);
+                EXPECT_EQ(got->vpn, want->second.vpn);
+            }
+            // Windows centred on every slot, from 0 (clamped below)
+            // to past the high-water mark (clamped above).
+            for (const auto &w : windows) {
+                std::vector<SlotOwner> ref;
+                SwapSlot lo = s >= w[0] ? s - w[0] : 0;
+                for (auto m = model.lower_bound(lo);
+                     m != model.end() && m->first <= s + w[1]; ++m) {
+                    if (m->first != s)
+                        ref.push_back(m->second);
+                }
+                std::vector<SlotOwner> seen = neighbors(b, s, w[0], w[1]);
+                ASSERT_EQ(seen.size(), ref.size())
+                    << "step " << step << " slot " << s << " window -"
+                    << w[0] << "/+" << w[1];
+                for (std::size_t i = 0; i < ref.size(); ++i) {
+                    EXPECT_EQ(seen[i].pid, ref[i].pid);
+                    EXPECT_EQ(seen[i].vpn, ref[i].vpn);
+                }
+            }
+        }
+    }
+    EXPECT_GT(small.highWater(), 48u) << "the churn never grew the table";
 }
 
 TEST_F(BackendFixture, CountsDemandAndPrefetchReadsSeparately)
