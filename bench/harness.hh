@@ -1,18 +1,21 @@
 /**
  * @file
  * Shared helpers for the table/figure reproduction binaries: scale
- * control via HOPP_BENCH_SCALE, cached local-baseline completion
- * times, and run shorthands.
+ * and parallelism control via HOPP_BENCH_SCALE and HOPP_BENCH_JOBS,
+ * cached local-baseline completion times, and run shorthands.
  */
 
 #ifndef HOPP_BENCH_HARNESS_HH
 #define HOPP_BENCH_HARNESS_HH
 
+#include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hh"
 #include "runner/machine.hh"
 #include "runner/sweep_pool.hh"
 #include "stats/table.hh"
@@ -21,17 +24,25 @@
 namespace hopp::bench
 {
 
+/** A set but bad bench variable: one stderr line, exit 2. */
+[[noreturn]] inline void
+rejectEnv(const char *var, const char *text, const char *want)
+{
+    std::fprintf(stderr, "%s must be %s, got '%s'\n", var, want, text);
+    std::exit(2);
+}
+
 /** Workload scale, overridable with HOPP_BENCH_SCALE (default 1.0). */
 inline workloads::WorkloadScale
 benchScale()
 {
     workloads::WorkloadScale s;
     if (const char *env = std::getenv("HOPP_BENCH_SCALE")) {
-        double v = std::atof(env);
-        if (v > 0) {
-            s.footprint = v;
-            s.iterations = v < 1.0 ? v : 1.0;
-        }
+        double v = cli::parseReal(env);
+        if (!(v > 0))
+            rejectEnv("HOPP_BENCH_SCALE", env, "a number > 0");
+        s.footprint = v;
+        s.iterations = v < 1.0 ? v : 1.0;
     }
     return s;
 }
@@ -43,15 +54,25 @@ benchScale()
 inline unsigned
 benchJobs()
 {
-    if (const char *env = std::getenv("HOPP_BENCH_JOBS")) {
-        int v = std::atoi(env);
-        if (v == 0)
-            return runner::SweepPool::hardwareJobs();
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
-    return 1;
+    const char *env = std::getenv("HOPP_BENCH_JOBS");
+    if (!env)
+        return 1;
+    std::optional<unsigned> v = cli::parseWhole<unsigned>(env);
+    if (!v)
+        rejectEnv("HOPP_BENCH_JOBS", env, "a whole number (0 = all cores)");
+    return *v == 0 ? runner::SweepPool::hardwareJobs() : *v;
 }
+
+/**
+ * Both variables are parsed whole (tools/cli/flags.hh) during static
+ * initialization, so a bad value stops the bench before main() builds
+ * any machine.
+ */
+inline const bool benchEnvChecked = [] {
+    benchScale();
+    benchJobs();
+    return true;
+}();
 
 /** One configuration of a bench sweep grid. */
 struct RunSpec

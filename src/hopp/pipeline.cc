@@ -1,7 +1,6 @@
 #include "hopp/pipeline.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "vm/page.hh"
 
@@ -269,19 +268,13 @@ HotPagePipeline::onPteClear(Pid, Vpn, Ppn ppn, Tick)
     }
 }
 
-std::string
-mcSideStatsJson(HotPagePipeline &p, std::size_t backend)
+stats::JsonFields
+mcSideStats(HotPagePipeline &p, std::size_t backend)
 {
-    std::string out;
-    out.reserve(2048);
-    char buf[96];
-    auto put = [&](const char *key, std::uint64_t v, bool last = false) {
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %llu%s\n", key,
-                      static_cast<unsigned long long>(v),
-                      last ? "" : ",");
-        out += buf;
+    stats::JsonFields out;
+    auto put = [&](std::string key, std::uint64_t v) {
+        out.emplace_back(std::move(key), v);
     };
-    out += "{\n";
     HpdStats hpd = p.hpdTotals();
     put("hpd_reads", hpd.reads);
     put("hpd_writes_ignored", hpd.writesIgnored);
@@ -290,19 +283,14 @@ mcSideStatsJson(HotPagePipeline &p, std::size_t backend)
     put("hpd_evictions", hpd.evictions);
     for (unsigned c = 0; c < p.config().channels; ++c) {
         const RptCacheStats &rc = p.rptCache(c).stats();
-        char key[64];
-        auto putc = [&](const char *name, std::uint64_t v) {
-            std::snprintf(key, sizeof(key), "rpt_cache.c%u.%s", c,
-                          name);
-            put(key, v);
-        };
-        putc("lookups", rc.lookups);
-        putc("hits", rc.hits);
-        putc("misses", rc.misses);
-        putc("miss_unmapped", rc.missUnmapped);
-        putc("updates", rc.updates);
-        putc("invalidates", rc.invalidates);
-        putc("writebacks", rc.writebacks);
+        std::string prefix = "rpt_cache.c" + std::to_string(c) + ".";
+        put(prefix + "lookups", rc.lookups);
+        put(prefix + "hits", rc.hits);
+        put(prefix + "misses", rc.misses);
+        put(prefix + "miss_unmapped", rc.missUnmapped);
+        put(prefix + "updates", rc.updates);
+        put(prefix + "invalidates", rc.invalidates);
+        put(prefix + "writebacks", rc.writebacks);
     }
     put("ring_pushed", p.ring().pushed());
     put("ring_dropped", p.ring().dropped());
@@ -320,9 +308,14 @@ mcSideStatsJson(HotPagePipeline &p, std::size_t backend)
     put("trainer_pred_rsp", tr.predictions[2]);
     put("trainer_pred_mkv", tr.predictions[3]);
     put("trainer_no_pattern", tr.noPattern);
-    put("unmapped_hot_pages", p.unmappedHotPages(), true);
-    out += "}\n";
+    put("unmapped_hot_pages", p.unmappedHotPages());
     return out;
+}
+
+std::string
+mcSideStatsJson(HotPagePipeline &p, std::size_t backend)
+{
+    return stats::flatJson(mcSideStats(p, backend));
 }
 
 } // namespace hopp::core

@@ -36,6 +36,7 @@
 #include "mem/dram.hh"
 #include "obs/tracer.hh"
 #include "sim/event_queue.hh"
+#include "stats/json_writer.hh"
 
 namespace hopp::core
 {
@@ -312,15 +313,17 @@ class HotPagePipeline
 };
 
 /**
- * The MC-side statistics the replay fidelity contract covers, as a
- * deterministic flat JSON document: HPD totals, per-channel RPT-cache
- * counters, ring, STT, trainer predictions (batchesIssued excluded —
- * it depends on VMS bundling feedback), and the unmapped-drop count.
- * A recorded run and its replay must produce byte-identical output.
- * @p backend selects the software cell: the frontend keys are shared
- * (byte-identical across cells by construction); the STT/trainer keys
- * come from that cell.
+ * The MC-side statistics the replay fidelity contract covers, in
+ * document order: HPD totals, per-channel RPT-cache counters, ring,
+ * STT, trainer predictions (batchesIssued excluded — it depends on
+ * VMS bundling feedback), and the unmapped-drop count. A recorded run
+ * and its replay must produce identical values. @p backend selects
+ * the software cell: the frontend keys are shared (identical across
+ * cells by construction); the STT/trainer keys come from that cell.
  */
+stats::JsonFields mcSideStats(HotPagePipeline &p, std::size_t backend = 0);
+
+/** mcSideStats() as a flat JSON document (stats::flatJson()). */
 std::string mcSideStatsJson(HotPagePipeline &p,
                             std::size_t backend = 0);
 

@@ -4,17 +4,21 @@
  * `hopp_trace` and the trace-emitter tests parse the writer's output
  * back with it, closing the loop without an external dependency.
  *
- * Supports the full JSON grammar the trace writer emits (objects,
- * arrays, strings with basic escapes, numbers, booleans, null). Not a
- * general-purpose validator: surrogate pairs are passed through
- * unchecked and numbers are parsed with strtod.
+ * Supports the full JSON grammar the writer (stats/json_writer.hh)
+ * emits (objects, arrays, strings with basic escapes, numbers,
+ * booleans, null). Numbers must match the JSON number grammar
+ * `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, so hex, a leading
+ * `+` or `.`, a trailing `.`, leading zeros, `inf` and `nan` are parse
+ * errors. Not a general-purpose validator: surrogate pairs are passed
+ * through unchecked.
  */
 
 #pragma once
 
-#include <cstdlib>
+#include <charconv>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -317,13 +321,55 @@ struct Parser
             out = Value::makeNull();
             return true;
         }
-        // Number.
-        const char *start = text.c_str() + pos;
-        char *end = nullptr;
-        double d = std::strtod(start, &end);
-        if (end == start)
+        return parseNumber(out);
+    }
+
+    /** Step over the next character if it is one of @p set. */
+    bool
+    accept(std::string_view set)
+    {
+        if (pos >= text.size() || set.find(text[pos]) == set.npos)
+            return false;
+        ++pos;
+        return true;
+    }
+
+    /** Step over a run of digits; false when there is none. */
+    bool
+    digits()
+    {
+        std::size_t from = pos;
+        while (accept("0123456789")) {
+        }
+        return pos > from;
+    }
+
+    /**
+     * A number must match JSON's grammar and end at a delimiter, so
+     * "0x10", "007" or "1.5.2" fail instead of parsing as a prefix.
+     */
+    bool
+    parseNumber(Value &out)
+    {
+        std::size_t start = pos;
+        accept("-");
+        if (!accept("0") && !digits())
             return fail("bad value");
-        pos += static_cast<std::size_t>(end - start);
+        if (accept(".") && !digits())
+            return fail("bad number");
+        if (accept("eE")) {
+            accept("+-");
+            if (!digits())
+                return fail("bad number");
+        }
+        if (pos < text.size() &&
+            std::string_view(",]} \t\r\n").find(text[pos]) ==
+                std::string_view::npos)
+            return fail("bad number");
+        double d = 0;
+        const char *first = text.data() + start;
+        if (std::from_chars(first, text.data() + pos, d).ec != std::errc{})
+            return fail("number out of range");
         out = Value::makeNumber(d);
         return true;
     }

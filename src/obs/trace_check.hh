@@ -204,20 +204,32 @@ checkEvent(const json::Value &ev, std::size_t index, double &last_ts,
 } // namespace detail
 
 /**
- * Validate a sequence of event objects in document order.
- * Works for both input framings: the "traceEvents" array of a Chrome
- * trace and the line-by-line objects of a JSONL file.
+ * Validate a parsed Chrome trace document: an object holding a
+ * "traceEvents" array, or a bare array of events, walked in document
+ * order.
  */
 inline TraceCheck
-checkEvents(const std::vector<const json::Value *> &events)
+checkTrace(const json::Value &root)
 {
     TraceCheck out;
+    const json::Value *events = &root;
+    if (root.isObject()) {
+        events = root.find("traceEvents");
+        if (!events || !events->isArray()) {
+            out.errors.push_back(
+                "document has no \"traceEvents\" array");
+            return out;
+        }
+    } else if (!root.isArray()) {
+        out.errors.push_back("document is neither object nor array");
+        return out;
+    }
     double last_ts = 0.0;
     std::map<std::uint32_t, std::vector<detail::OpenSpan>> stacks;
     std::map<std::string, double> asyncOpen;
-    for (std::size_t i = 0; i < events.size(); ++i)
-        detail::checkEvent(*events[i], i, last_ts, stacks, asyncOpen,
-                           out);
+    for (std::size_t i = 0; i < events->items().size(); ++i)
+        detail::checkEvent(events->items()[i], i, last_ts, stacks,
+                           asyncOpen, out);
     for (const auto &[track, stack] : stacks) {
         for (const auto &open : stack)
             out.errors.push_back("unbalanced span \"" + open.name +
@@ -227,34 +239,6 @@ checkEvents(const std::vector<const json::Value *> &events)
     for (const auto &[key, ts] : asyncOpen)
         out.errors.push_back("async span " + key + " never ended");
     return out;
-}
-
-/**
- * Validate a parsed Chrome trace document: an object holding a
- * "traceEvents" array, or a bare array of events.
- */
-inline TraceCheck
-checkTrace(const json::Value &root)
-{
-    const json::Value *events = &root;
-    if (root.isObject()) {
-        events = root.find("traceEvents");
-        if (!events || !events->isArray()) {
-            TraceCheck out;
-            out.errors.push_back(
-                "document has no \"traceEvents\" array");
-            return out;
-        }
-    } else if (!root.isArray()) {
-        TraceCheck out;
-        out.errors.push_back("document is neither object nor array");
-        return out;
-    }
-    std::vector<const json::Value *> ptrs;
-    ptrs.reserve(events->items().size());
-    for (const auto &e : events->items())
-        ptrs.push_back(&e);
-    return checkEvents(ptrs);
 }
 
 } // namespace hopp::obs

@@ -1,35 +1,14 @@
 #include "obs/trace_writer.hh"
 
 #include <cstdio>
-#include <cstring>
+
+#include "stats/json_writer.hh"
 
 namespace hopp::obs
 {
 
 namespace
 {
-
-/** Append a JSON string literal (names/cats are plain ASCII). */
-void
-appendQuoted(std::string &out, const char *s)
-{
-    out += '"';
-    for (const char *p = s; *p; ++p) {
-        char c = *p;
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    out += '"';
-}
 
 /** Append nanoseconds as decimal microseconds, integer math only. */
 void
@@ -47,9 +26,9 @@ void
 appendEvent(std::string &out, const TraceEvent &e)
 {
     out += "{\"name\":";
-    appendQuoted(out, e.name);
+    stats::appendJsonString(out, e.name);
     out += ",\"cat\":";
-    appendQuoted(out, e.cat);
+    stats::appendJsonString(out, e.cat);
     out += ",\"ph\":\"";
     out += e.ph;
     out += "\",\"ts\":";
@@ -93,18 +72,6 @@ toChromeJson(const Tracer &tracer)
         appendEvent(out, e);
     }
     out += "]}\n";
-    return out;
-}
-
-std::string
-toJsonl(const Tracer &tracer)
-{
-    std::string out;
-    out.reserve(tracer.size() * 96);
-    for (const TraceEvent &e : tracer.sorted()) {
-        appendEvent(out, e);
-        out += '\n';
-    }
     return out;
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Serialization of a Tracer's event buffer into Chrome trace_event
- * JSON (Perfetto / chrome://tracing) or compact JSONL (one event
- * object per line, no wrapper — for line-oriented tooling).
+ * JSON (Perfetto / chrome://tracing), the one trace format. Strings
+ * are escaped by stats::appendJsonString.
  *
  * Timestamps: the trace_event format counts microseconds; ticks are
  * nanoseconds. The writer renders `ts`/`dur` as `<us>.<ns%1000>` with
@@ -24,12 +24,6 @@ namespace hopp::obs
  * array holds every event sorted by (ts, seq).
  */
 std::string toChromeJson(const Tracer &tracer);
-
-/**
- * Render compact JSONL: the same event objects, one per line, sorted
- * identically, without the wrapping object.
- */
-std::string toJsonl(const Tracer &tracer);
 
 /**
  * Write @p content to @p path (truncating).

@@ -4,7 +4,9 @@
  *
  *  - accuracy  = prefetch hits / completed prefetches,
  *  - coverage  = prefetch hits / (demand remote reads + prefetch hits),
- *  - timeliness = time from a prefetched page's arrival to first hit.
+ *
+ * plus, per origin, the hits that came before their page's data
+ * arrived (lateHits), the "issued too late" share of timeliness.
  *
  * Tracked per origin so a machine running Fastswap readahead *and* the
  * HoPP engine (the paper's deployment, §V) reports both parts, as
@@ -16,7 +18,6 @@
 #include <array>
 #include <cstdint>
 
-#include "stats/stats.hh"
 #include "vm/listener.hh"
 
 namespace hopp::prefetch
@@ -30,7 +31,6 @@ struct OriginStats
     std::uint64_t dramHits = 0;      //!< injected-PTE hits (no fault)
     std::uint64_t swapCacheHits = 0; //!< 2.3 us prefetch-hits
     std::uint64_t evictedUnused = 0;
-    stats::LogHistogram timeliness{40};
     std::uint64_t lateHits = 0; //!< hit before (or at) data arrival
 
     /** §VI-A accuracy of this origin. */
@@ -73,9 +73,7 @@ class PrefetchStats : public vm::PageEventListener
             ++s.dramHits;
         else
             ++s.swapCacheHits;
-        if (hit_at > ready_at)
-            s.timeliness.sample(hit_at - ready_at);
-        else
+        if (hit_at <= ready_at)
             ++s.lateHits;
     }
 

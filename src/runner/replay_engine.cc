@@ -1,7 +1,6 @@
 #include "runner/replay_engine.hh"
 
 #include <bit>
-#include <cstdio>
 #include <iterator>
 
 #include "vm/page.hh"
@@ -272,41 +271,43 @@ ReplayEngine::run(trace::TraceReader &reader)
     return reader.status();
 }
 
+stats::JsonFields
+ReplayEngine::mcStats(std::size_t cell)
+{
+    return core::mcSideStats(pipeline_, cell);
+}
+
 std::string
 ReplayEngine::mcStatsJson(std::size_t cell)
 {
-    return core::mcSideStatsJson(pipeline_, cell);
+    return stats::flatJson(mcStats(cell));
+}
+
+stats::JsonFields
+ReplayEngine::oracleStats(std::size_t cell) const
+{
+    const ReplayResult &result = cells_.at(cell)->result;
+    return {
+        {"replay_records", result.records},
+        {"replay_mc_accesses", result.mcAccesses},
+        {"replay_pte_events", result.pteEvents},
+        // hopp-analyze: allow(raw) stats boundary
+        {"replay_last_tick", result.lastTick.raw()},
+        {"oracle_requested", result.requested},
+        {"oracle_used", result.used},
+        {"oracle_late", result.late},
+        {"oracle_unused", result.unused},
+        {"oracle_demand_pages", result.demandPages},
+        {"oracle_covered_pages", result.coveredPages},
+        {"oracle_accuracy", result.accuracy()},
+        {"oracle_coverage", result.coverage()},
+    };
 }
 
 std::string
 ReplayEngine::oracleJson(std::size_t cell) const
 {
-    const ReplayResult &result = cells_.at(cell)->result;
-    std::string out;
-    char buf[128];
-    auto put = [&](const char *key, std::uint64_t v) {
-        std::snprintf(buf, sizeof(buf), "  \"%s\": %llu,\n", key,
-                      static_cast<unsigned long long>(v));
-        out += buf;
-    };
-    out += "{\n";
-    put("replay_records", result.records);
-    put("replay_mc_accesses", result.mcAccesses);
-    put("replay_pte_events", result.pteEvents);
-    put("replay_last_tick", result.lastTick.raw()); // hopp-analyze: allow(raw) stats boundary
-    put("oracle_requested", result.requested);
-    put("oracle_used", result.used);
-    put("oracle_late", result.late);
-    put("oracle_unused", result.unused);
-    put("oracle_demand_pages", result.demandPages);
-    put("oracle_covered_pages", result.coveredPages);
-    std::snprintf(buf, sizeof(buf),
-                  "  \"oracle_accuracy\": %.17g,\n"
-                  "  \"oracle_coverage\": %.17g\n",
-                  result.accuracy(), result.coverage());
-    out += buf;
-    out += "}\n";
-    return out;
+    return stats::flatJson(oracleStats(cell));
 }
 
 } // namespace hopp::runner

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "hopp/pipeline.hh"
+#include "stats/json_writer.hh"
 #include "trace/trace_file.hh"
 
 namespace hopp::runner
@@ -147,15 +148,21 @@ class ReplayEngine
         return cells_.at(cell)->result;
     }
 
+    /** One cell's MC-side fidelity-contract values (core::mcSideStats). */
+    stats::JsonFields mcStats(std::size_t cell = 0);
+
     /**
-     * The MC-side fidelity-contract document for one cell —
-     * byte-identical to `hopp-run --mc-stats-json` for the run that
-     * recorded the trace (DESIGN.md §15), and to a solo replay of the
-     * cell's configuration when fanned out.
+     * mcStats() as a flat JSON document — byte-identical to `hopp-run
+     * --mc-stats-json` for the run that recorded the trace (DESIGN.md
+     * §15), and to a solo replay of the cell's configuration when
+     * fanned out.
      */
     std::string mcStatsJson(std::size_t cell = 0);
 
-    /** The oracle accuracy/coverage block as one JSON object. */
+    /** One cell's replay counters and oracle accuracy/coverage. */
+    stats::JsonFields oracleStats(std::size_t cell = 0) const;
+
+    /** oracleStats() as a flat JSON document. */
     std::string oracleJson(std::size_t cell = 0) const;
 
   private:

@@ -1,7 +1,5 @@
 #include "runner/stats_report.hh"
 
-#include <cstdio>
-
 #include "runner/machine.hh"
 
 namespace hopp::runner
@@ -226,24 +224,6 @@ latencyStats(const obs::FaultLatency &lat)
     return s;
 }
 
-/**
- * Deterministic JSON number: integral values print without a
- * fractional part, everything else round-trips via %.17g.
- */
-void
-appendNumber(std::string &out, double v)
-{
-    char buf[40];
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v >= -9.0e15 && v <= 9.0e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(v));
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-    }
-    out += buf;
-}
-
 } // namespace
 
 std::vector<stats::StatSet>
@@ -274,26 +254,20 @@ statsReport(Machine &machine)
     return out;
 }
 
+stats::JsonFields
+statsFields(Machine &machine)
+{
+    stats::JsonFields out;
+    for (const auto &set : collectStats(machine))
+        for (const auto &v : set.values())
+            out.emplace_back(v.name, v.value);
+    return out;
+}
+
 std::string
 statsJson(Machine &machine)
 {
-    // Flat, deterministic: collection order is fixed, names are
-    // unique, and numbers format identically across runs.
-    std::string out = "{\n";
-    bool first = true;
-    for (const auto &set : collectStats(machine)) {
-        for (const auto &v : set.values()) {
-            if (!first)
-                out += ",\n";
-            first = false;
-            out += "  \"";
-            out += v.name;
-            out += "\": ";
-            appendNumber(out, v.value);
-        }
-    }
-    out += "\n}\n";
-    return out;
+    return stats::flatJson(statsFields(machine));
 }
 
 } // namespace hopp::runner

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "stats/json_writer.hh"
 #include "stats/stats.hh"
 
 namespace hopp::runner
@@ -27,10 +28,17 @@ std::vector<stats::StatSet> collectStats(Machine &machine);
 std::string statsReport(Machine &machine);
 
 /**
+ * Every collected value under its dotted name, in collection order:
+ * the members of statsJson(), for documents that embed them.
+ */
+stats::JsonFields statsFields(Machine &machine);
+
+/**
  * Render the full stats dump as one flat JSON object
- * (`{"llc.hits": 123, ...}`), deterministically: fixed collection
- * order and integer formatting for integral values. Includes the
- * fault-latency percentiles (`latency.<class>.p50_ns` ...).
+ * (`{"llc.hits": 123, ...}`) through stats::flatJson(),
+ * deterministically: names are unique and collection order is fixed.
+ * Includes the fault-latency percentiles (`latency.<class>.p50_ns`
+ * ...).
  */
 std::string statsJson(Machine &machine);
 

@@ -1,43 +1,11 @@
 #include "stats/stats.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 
 namespace hopp::stats
 {
-
-void
-LogHistogram::sample(std::uint64_t v)
-{
-    unsigned bucket = v == 0 ? 0 : std::bit_width(v) - 1;
-    if (bucket >= buckets_.size())
-        bucket = static_cast<unsigned>(buckets_.size()) - 1;
-    ++buckets_[bucket];
-    ++count_;
-    sum_ += static_cast<double>(v);
-}
-
-std::uint64_t
-LogHistogram::percentile(double q) const
-{
-    if (count_ == 0)
-        return 0;
-    if (q < 0.0)
-        q = 0.0;
-    if (q > 1.0)
-        q = 1.0;
-    std::uint64_t target =
-        static_cast<std::uint64_t>(q * static_cast<double>(count_));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen >= target)
-            return 1ull << (i + 1); // upper edge of the bucket
-    }
-    return 1ull << buckets_.size();
-}
 
 void
 Histogram::ensureSorted() const

@@ -1,8 +1,7 @@
 /**
  * @file
- * Lightweight statistics primitives: averages and log-bucket and
- * exact histograms, with scalars grouped into named StatSets for
- * dumping.
+ * Lightweight statistics primitives: averages and exact histograms,
+ * with scalars grouped into named StatSets for dumping.
  *
  * Every simulated component owns its stats by value; a StatSet only keeps
  * registration metadata so copies of components stay cheap and safe.
@@ -50,47 +49,6 @@ class Average
     double min_ = 0.0;
     double max_ = 0.0;
     std::uint64_t count_ = 0;
-};
-
-/**
- * Histogram with logarithmic (power-of-two) buckets, suitable for latency
- * distributions spanning ns to ms when memory per sample matters.
- *
- * Quantization error bound: percentile() answers with the *upper edge*
- * of the bucket holding the requested rank, and bucket i covers
- * [2^i, 2^(i+1)), so the reported value overestimates the true
- * percentile by at most a factor of 2 (exactly 2 in the worst case of
- * a sample sitting on a bucket's lower edge). Use stats::Histogram
- * below when exact percentiles are required.
- */
-class LogHistogram
-{
-  public:
-    /** Buckets cover [2^i, 2^(i+1)) for i in [0, buckets). */
-    explicit LogHistogram(unsigned buckets = 40) : buckets_(buckets, 0) {}
-
-    /** Record one value. */
-    void sample(std::uint64_t v);
-
-    /**
-     * Value at or below which fraction q of samples fall, rounded up
-     * to the containing bucket's upper edge (<= 2x the true value).
-     */
-    std::uint64_t percentile(double q) const;
-
-    /** Number of samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /** Mean of all samples (exact, not bucketed). */
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-
-    /** Per-bucket counts, bucket i covering [2^i, 2^(i+1)). */
-    const std::vector<std::uint64_t> &buckets() const { return buckets_; }
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
 };
 
 /**

@@ -58,9 +58,6 @@ class AccessGenerator
             ++i;
         return i;
     }
-
-    /** Restart from the beginning (same sequence). */
-    virtual void reset() = 0;
 };
 
 /** Owning pointer alias used throughout the workload library. */
@@ -102,14 +99,6 @@ class PhasedGen : public AccessGenerator
                 ++idx_;
         }
         return filled;
-    }
-
-    void
-    reset() override
-    {
-        for (auto &p : phases_)
-            p->reset();
-        idx_ = 0;
     }
 
   private:
@@ -184,16 +173,6 @@ class InterleaveGen : public AccessGenerator
         return filled;
     }
 
-    void
-    reset() override
-    {
-        for (auto &s : subs_)
-            s->reset();
-        done_.assign(subs_.size(), false);
-        cur_ = 0;
-        taken_ = 0;
-    }
-
   private:
     void
     advance()
@@ -238,13 +217,6 @@ class LimitGen : public AccessGenerator
         std::size_t got = inner_->nextBatch(out, want);
         count_ += got;
         return got;
-    }
-
-    void
-    reset() override
-    {
-        inner_->reset();
-        count_ = 0;
     }
 
   private:

@@ -66,14 +66,6 @@ SequentialScan::nextBatch(Access *out, std::size_t n)
     return drainInto(*this, out, n);
 }
 
-void
-SequentialScan::reset()
-{
-    visit_ = 0;
-    line_ = 0;
-    pass_ = 0;
-}
-
 // ---------------------------------------------------------------------
 // LadderGen
 // ---------------------------------------------------------------------
@@ -110,15 +102,6 @@ std::size_t
 LadderGen::nextBatch(Access *out, std::size_t n)
 {
     return drainInto(*this, out, n);
-}
-
-void
-LadderGen::reset()
-{
-    tread_ = 0;
-    page_ = 0;
-    line_ = 0;
-    pass_ = 0;
 }
 
 // ---------------------------------------------------------------------
@@ -159,16 +142,6 @@ std::size_t
 RippleGen::nextBatch(Access *out, std::size_t n)
 {
     return drainInto(*this, out, n);
-}
-
-void
-RippleGen::reset()
-{
-    front_ = 0;
-    line_ = 0;
-    pass_ = 0;
-    pendingHop_ = 0;
-    rng_ = Pcg32(p_.seed);
 }
 
 // ---------------------------------------------------------------------
@@ -224,17 +197,6 @@ GatherGen::nextBatch(Access *out, std::size_t n)
     return drainInto(*this, out, n);
 }
 
-void
-GatherGen::reset()
-{
-    page_ = 0;
-    line_ = 0;
-    pass_ = 0;
-    gatherDebt_ = 0.0;
-    pendingReset_ = false;
-    rng_ = Pcg32(p_.seed);
-}
-
 // ---------------------------------------------------------------------
 // HotColdGen
 // ---------------------------------------------------------------------
@@ -265,15 +227,6 @@ std::size_t
 HotColdGen::nextBatch(Access *out, std::size_t n)
 {
     return drainInto(*this, out, n);
-}
-
-void
-HotColdGen::reset()
-{
-    count_ = 0;
-    page_ = 0;
-    line_ = 0;
-    rng_ = Pcg32(p_.seed);
 }
 
 // ---------------------------------------------------------------------
@@ -339,17 +292,6 @@ ShortRunsGen::nextBatch(Access *out, std::size_t n)
     return drainInto(*this, out, n);
 }
 
-void
-ShortRunsGen::reset()
-{
-    run_ = 0;
-    page_ = 0;
-    line_ = 0;
-    started_ = false;
-    inGc_ = false;
-    rng_ = Pcg32(p_.seed);
-}
-
 // ---------------------------------------------------------------------
 // PermutationGen
 // ---------------------------------------------------------------------
@@ -393,14 +335,6 @@ PermutationGen::nextBatch(Access *out, std::size_t n)
     return drainInto(*this, out, n);
 }
 
-void
-PermutationGen::reset()
-{
-    idx_ = 0;
-    line_ = 0;
-    pass_ = 0;
-}
-
 // ---------------------------------------------------------------------
 // QuicksortGen
 // ---------------------------------------------------------------------
@@ -409,17 +343,6 @@ std::size_t
 QuicksortGen::nextBatch(Access *out, std::size_t n)
 {
     return drainInto(*this, out, n);
-}
-
-void
-QuicksortGen::reset()
-{
-    rng_ = Pcg32(p_.seed);
-    stack_.clear();
-    stack_.push_back({0, p_.pages});
-    partitioning_ = false;
-    scanning_ = false;
-    line_ = 0;
 }
 
 bool

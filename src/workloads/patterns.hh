@@ -44,7 +44,6 @@ class SequentialScan : public AccessGenerator
 
     bool next(Access &out) override;
     std::size_t nextBatch(Access *out, std::size_t n) override;
-    void reset() override;
 
   private:
     Params p_;
@@ -84,7 +83,6 @@ class LadderGen : public AccessGenerator
 
     bool next(Access &out) override;
     std::size_t nextBatch(Access *out, std::size_t n) override;
-    void reset() override;
 
   private:
     Params p_;
@@ -120,7 +118,6 @@ class RippleGen : public AccessGenerator
 
     bool next(Access &out) override;
     std::size_t nextBatch(Access *out, std::size_t n) override;
-    void reset() override;
 
   private:
     Params p_;
@@ -165,7 +162,6 @@ class GatherGen : public AccessGenerator
 
     bool next(Access &out) override;
     std::size_t nextBatch(Access *out, std::size_t n) override;
-    void reset() override;
 
   private:
     Params p_;
@@ -201,7 +197,6 @@ class HotColdGen : public AccessGenerator
 
     bool next(Access &out) override;
     std::size_t nextBatch(Access *out, std::size_t n) override;
-    void reset() override;
 
   private:
     Params p_;
@@ -248,7 +243,6 @@ class ShortRunsGen : public AccessGenerator
 
     bool next(Access &out) override;
     std::size_t nextBatch(Access *out, std::size_t n) override;
-    void reset() override;
 
   private:
     void startRun();
@@ -288,7 +282,6 @@ class PermutationGen : public AccessGenerator
 
     bool next(Access &out) override;
     std::size_t nextBatch(Access *out, std::size_t n) override;
-    void reset() override;
 
   private:
     Params p_;
@@ -314,14 +307,13 @@ class QuicksortGen : public AccessGenerator
         std::uint64_t seed = 1;
     };
 
-    explicit QuicksortGen(const Params &p) : p_(p), rng_(p.seed)
+    explicit QuicksortGen(const Params &p)
+        : p_(p), rng_(p.seed), stack_{{0, p.pages}}
     {
-        reset();
     }
 
     bool next(Access &out) override;
     std::size_t nextBatch(Access *out, std::size_t n) override;
-    void reset() override;
 
   private:
     struct Range

@@ -74,14 +74,6 @@ expectBatchMatchesNext(const Factory &make, std::uint64_t seed,
         ASSERT_EQ(got[i].write, expect[i].write)
             << "diverged at access " << i;
     }
-
-    // reset() must rewind the batched drain to the same sequence.
-    bat->reset();
-    std::size_t head = std::min<std::size_t>(expect.size(), max_block);
-    ASSERT_EQ(bat->nextBatch(block.data(), head), head);
-    for (std::size_t i = 0; i < head; ++i)
-        ASSERT_EQ(block[i].va, expect[i].va)
-            << "post-reset divergence at access " << i;
 }
 
 /** Exercise several block-size distributions per generator. */
@@ -111,8 +103,6 @@ class CountingGen : public AccessGenerator
         ++i_;
         return true;
     }
-
-    void reset() override { i_ = 0; }
 
   private:
     std::uint64_t n_;

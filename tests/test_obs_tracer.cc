@@ -1,7 +1,7 @@
 /**
  * @file
- * Flight-recorder tests: the Tracer buffer, the Chrome trace_event /
- * JSONL writers, the structural checker, and whole-machine trace
+ * Flight-recorder tests: the Tracer buffer, the Chrome trace_event
+ * writer, the structural checker, and whole-machine trace
  * byte-determinism.
  */
 
@@ -87,7 +87,7 @@ TEST(Tracer, AsyncIdsStartAtOneAndIncrease)
 }
 
 // ---------------------------------------------------------------------
-// Writers: valid JSON, JSONL framing, structural validity.
+// Writer: valid JSON, structural validity.
 
 namespace
 {
@@ -134,32 +134,6 @@ TEST(TraceWriter, ChromeJsonRendersMicrosecondsFromTicks)
     std::string doc = toChromeJson(sampleTracer());
     EXPECT_NE(doc.find("\"dur\":8.500"), std::string::npos) << doc;
     EXPECT_NE(doc.find("\"ts\":1.000"), std::string::npos) << doc;
-}
-
-TEST(TraceWriter, JsonlHasOneValidObjectPerLine)
-{
-    std::string doc = toJsonl(sampleTracer());
-    std::vector<const json::Value *> events;
-    std::vector<json::Value> storage;
-    storage.reserve(16);
-    std::size_t lines = 0;
-    std::size_t start = 0;
-    while (start < doc.size()) {
-        std::size_t nl = doc.find('\n', start);
-        ASSERT_NE(nl, std::string::npos) << "unterminated last line";
-        std::string line = doc.substr(start, nl - start);
-        storage.emplace_back();
-        std::string err;
-        ASSERT_TRUE(json::parse(line, storage.back(), &err))
-            << "line " << lines << ": " << err;
-        ASSERT_TRUE(storage.back().isObject());
-        ++lines;
-        start = nl + 1;
-    }
-    EXPECT_EQ(lines, 7u);
-    for (const json::Value &v : storage)
-        events.push_back(&v);
-    EXPECT_TRUE(checkEvents(events).ok());
 }
 
 TEST(TraceCheckTest, CatchesUnbalancedSpans)

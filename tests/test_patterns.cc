@@ -88,18 +88,6 @@ TEST(SequentialScanGen, BackwardScansDescend)
     EXPECT_EQ(pages, (std::vector<Vpn>{Vpn{3}, Vpn{2}, Vpn{1}, Vpn{0}}));
 }
 
-TEST(SequentialScanGen, ResetReplaysIdentically)
-{
-    SequentialScan::Params p;
-    p.pages = 16;
-    p.linesPerPage = 2;
-    SequentialScan gen(p);
-    auto first = pageTrace(gen);
-    gen.reset();
-    auto second = pageTrace(gen);
-    EXPECT_EQ(first, second);
-}
-
 TEST(LadderGenPattern, TreadsAndRises)
 {
     LadderGen::Params p;

@@ -197,7 +197,6 @@ TEST_F(PrefetcherTest, StatsComputeAccuracyAndCoverage)
     EXPECT_DOUBLE_EQ(s.coverage(), 3.0 / 5.0);
     EXPECT_DOUBLE_EQ(s.dramHitCoverage(), 2.0 / 5.0);
     EXPECT_EQ(s.forOrigin(2).lateHits, 1u);
-    EXPECT_EQ(s.forOrigin(2).timeliness.count(), 2u);
 }
 
 TEST_F(PrefetcherTest, StatsSeparateOrigins)

@@ -54,6 +54,7 @@
 #include "analysis/include_graph.hh"
 #include "analysis/model.hh"
 #include "analysis/symbols.hh"
+#include "stats/json_writer.hh"
 
 namespace
 {
@@ -152,38 +153,6 @@ analyze(SourceTree &tree, const std::vector<std::string> &roots,
     std::sort(tree.diags.begin(), tree.diags.end());
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 /**
  * Machine-readable findings: a JSON array, one object per diagnostic.
  * `path` is the location CI annotates: the root as given joined with
@@ -193,19 +162,25 @@ jsonEscape(const std::string &s)
 void
 printJson(const std::vector<Diag> &diags)
 {
-    std::printf("[");
-    bool first = true;
-    for (const auto &d : diags) {
-        std::printf("%s\n  {\"root\": \"%s\", \"file\": \"%s\", "
-                    "\"path\": \"%s\", \"line\": %d, "
-                    "\"rule\": \"%s\", \"message\": \"%s\"}",
-                    first ? "" : ",", jsonEscape(d.root).c_str(),
-                    jsonEscape(d.file).c_str(),
-                    jsonEscape(d.path()).c_str(), d.line, d.rule.c_str(),
-                    jsonEscape(d.message).c_str());
-        first = false;
+    using hopp::stats::appendJsonString;
+    std::string out = "[";
+    for (std::size_t i = 0; i < diags.size(); ++i) {
+        const Diag &d = diags[i];
+        out += i ? ",\n  {\"root\": " : "\n  {\"root\": ";
+        appendJsonString(out, d.root);
+        out += ", \"file\": ";
+        appendJsonString(out, d.file);
+        out += ", \"path\": ";
+        appendJsonString(out, d.path());
+        out += ", \"line\": " + std::to_string(d.line);
+        out += ", \"rule\": ";
+        appendJsonString(out, d.rule);
+        out += ", \"message\": ";
+        appendJsonString(out, d.message);
+        out += '}';
     }
-    std::printf("%s]\n", first ? "" : "\n");
+    out += diags.empty() ? "]\n" : "\n]\n";
+    std::fputs(out.c_str(), stdout);
 }
 
 /**

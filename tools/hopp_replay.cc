@@ -15,9 +15,11 @@
  * pass: a shared frontend decodes the trace and probes the HPD once,
  * fanning each hot page out to every tier-mask cell's trainer
  * (ReplayEngine fan-out). With --jobs N the threshold groups execute
- * on N host threads through SweepPool; fragments contain no wall
- * times and are assembled in a fixed tiers-major order, so the
- * document is byte-identical for every --jobs value.
+ * on N host threads through SweepPool. Each group returns its cells'
+ * values, which hold no wall times, and the main thread renders them
+ * through stats::JsonWriter in a fixed tiers-major order, so the
+ * document is valid JSON for every accepted input (the trace path is
+ * escaped) and byte-identical for every --jobs value.
  *
  * --mc-stats-json writes the MC-side fidelity-contract document of a
  * single-cell grid; diffing it against the recording run's
@@ -41,6 +43,7 @@
 #include "obs/trace_writer.hh"
 #include "runner/replay_engine.hh"
 #include "runner/sweep_pool.hh"
+#include "stats/json_writer.hh"
 #include "trace/champsim.hh"
 
 using namespace hopp;
@@ -75,27 +78,6 @@ usage(const char *argv0)
         "  --tick-per-instr NS imported inter-instruction time"
         " (default 4)\n",
         argv0);
-}
-
-/** Indent every line of a rendered JSON block by @p pad spaces. */
-std::string
-indent(const std::string &text, int pad)
-{
-    std::string out;
-    std::string prefix(static_cast<std::size_t>(pad), ' ');
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos)
-            nl = text.size();
-        if (nl > start)
-            out += prefix + text.substr(start, nl - start);
-        out += '\n';
-        start = nl + 1;
-    }
-    if (!out.empty() && out.back() == '\n')
-        out.pop_back();
-    return out;
 }
 
 } // namespace
@@ -212,16 +194,20 @@ main(int argc, char **argv)
     // a shared frontend (ReplayEngine fan-out) — decode and the
     // per-access HPD/RPT work are paid once per threshold, not once
     // per cell — and SweepPool spreads the threshold groups across
-    // host threads. Fragments carry no wall times and are assembled
+    // host threads. Cell values carry no wall times and are rendered
     // tiers-major below, so the document stays byte-identical for
     // every --jobs value (and to the old per-cell execution).
+    struct CellOut
+    {
+        trace::TraceIoStatus status = trace::TraceIoStatus::Ok;
+        stats::JsonFields mcStats;
+        stats::JsonFields oracle;
+    };
     struct GroupOut
     {
-        std::vector<std::string> byTier;
-        std::string mcStats; //!< cell 0's fidelity doc (group 0 only)
+        std::vector<CellOut> byTier;
         trace::TraceIoStatus status = trace::TraceIoStatus::Ok;
     };
-    std::string mc_stats_doc;
     SweepPool pool(*jobs == 0 ? SweepPool::hardwareJobs() : *jobs);
     std::vector<GroupOut> groups = pool.run<GroupOut>(
         thresholds.size(), [&](std::size_t g) {
@@ -247,44 +233,15 @@ main(int argc, char **argv)
                     st = engine.run(reader);
                 if (out.status == trace::TraceIoStatus::Ok)
                     out.status = st;
-                for (std::size_t c = lo; c < hi; ++c) {
-                    std::size_t cell = c - lo;
-                    std::string frag;
-                    frag += "    {\n";
-                    frag += "      \"tiers\": " +
-                            std::to_string(tier_masks[c]) + ",\n";
-                    frag += "      \"threshold\": " +
-                            std::to_string(thresholds[g]) + ",\n";
-                    // A failed cell still renders (sweep documents
-                    // stay complete); the post-run check turns any
-                    // non-ok status into a nonzero exit.
-                    frag += "      \"status\": \"" +
-                            std::string(
-                                trace::traceIoStatusName(st)) +
-                            "\",\n";
-                    frag += "      \"mc_stats\":\n" +
-                            indent(engine.mcStatsJson(cell), 6) +
-                            ",\n";
-                    frag += "      \"oracle\":\n" +
-                            indent(engine.oracleJson(cell), 6) + "\n";
-                    frag += "    }";
-                    out.byTier.push_back(std::move(frag));
-                }
-                if (g == 0 && lo == 0 && !mc_stats_json.empty())
-                    out.mcStats = engine.mcStatsJson(0);
+                // A failed cell still renders (sweep documents stay
+                // complete); the post-run check turns any non-ok
+                // status into a nonzero exit.
+                for (std::size_t cell = 0; cell < hi - lo; ++cell)
+                    out.byTier.push_back(CellOut{
+                        st, engine.mcStats(cell), engine.oracleStats(cell)});
             }
             return out;
         });
-    if (!mc_stats_json.empty())
-        mc_stats_doc = groups[0].mcStats;
-
-    // Tiers-major document order, matching the submission order the
-    // per-cell execution used.
-    std::vector<std::string> fragments;
-    fragments.reserve(tier_masks.size() * thresholds.size());
-    for (std::size_t t = 0; t < tier_masks.size(); ++t)
-        for (std::size_t g = 0; g < thresholds.size(); ++g)
-            fragments.push_back(std::move(groups[g].byTier[t]));
 
     // Every cell reads the same file: one stderr line names it and the
     // first failure, whatever the grid size or --jobs.
@@ -297,17 +254,27 @@ main(int argc, char **argv)
         std::fprintf(stderr, "hopp-replay: %s: %s\n", trace_path.c_str(),
                      trace::traceIoStatusName(failed));
 
-    std::string doc;
-    doc += "{\n";
-    doc += "  \"schema\": \"hopp-replay-v1\",\n";
-    doc += "  \"trace\": \"" + trace_path + "\",\n";
-    doc += "  \"runs\": [\n";
-    for (std::size_t i = 0; i < fragments.size(); ++i) {
-        doc += fragments[i];
-        doc += i + 1 < fragments.size() ? ",\n" : "\n";
+    // Tiers-major document order, matching the submission order the
+    // per-cell execution used.
+    stats::JsonWriter w;
+    w.beginObject();
+    w.key("schema").value("hopp-replay-v1");
+    w.key("trace").value(trace_path);
+    w.key("runs").beginArray();
+    for (std::size_t t = 0; t < tier_masks.size(); ++t) {
+        for (std::size_t g = 0; g < thresholds.size(); ++g) {
+            const CellOut &cell = groups[g].byTier[t];
+            w.beginObject();
+            w.key("tiers").value(tier_masks[t]);
+            w.key("threshold").value(thresholds[g]);
+            w.key("status").value(trace::traceIoStatusName(cell.status));
+            w.key("mc_stats").fields(cell.mcStats);
+            w.key("oracle").fields(cell.oracle);
+            w.end();
+        }
     }
-    doc += "  ]\n";
-    doc += "}\n";
+    w.end();
+    std::string doc = w.end().finish();
 
     bool io_ok = true;
     if (out_path.empty())
@@ -315,6 +282,7 @@ main(int argc, char **argv)
     else
         io_ok &= obs::writeFile(out_path, doc);
     if (!mc_stats_json.empty())
-        io_ok &= obs::writeFile(mc_stats_json, mc_stats_doc);
+        io_ok &= obs::writeFile(mc_stats_json,
+                                stats::flatJson(groups[0].byTier[0].mcStats));
     return (io_ok && failed == trace::TraceIoStatus::Ok) ? 0 : 1;
 }

@@ -6,7 +6,7 @@
  *            [--scale F] [--iterations F] [--depth N] [--tiers MASK]
  *            [--channels N] [--no-interleave] [--batch] [--markov]
  *            [--eviction-advisor] [--seed N] [--dump-hopp] [--list]
- *            [--trace-out FILE] [--trace-jsonl FILE]
+ *            [--trace-out FILE]
  *            [--metrics-out FILE] [--metrics-period NS]
  *            [--stats-json FILE]
  *            [--record-trace FILE] [--mc-stats-json FILE]
@@ -70,8 +70,6 @@ usage(const char *argv0)
         "  --stats-json FILE   write the stats dump as JSON to FILE\n"
         "  --trace-out FILE    record a Chrome trace_event JSON trace"
         " (open in Perfetto)\n"
-        "  --trace-jsonl FILE  record the trace as one-event-per-line"
-        " JSONL\n"
         "  --metrics-out FILE  write periodic gauge samples as CSV\n"
         "  --metrics-period NS sampling period in simulated ns"
         " (default 100000)\n"
@@ -154,7 +152,7 @@ main(int argc, char **argv)
     std::optional<std::uint64_t> check_interval = 0;
     bool dump_hopp = false;
     bool dump_stats = false;
-    std::string trace_out, trace_jsonl, metrics_out, stats_json;
+    std::string trace_out, metrics_out, stats_json;
     std::string mc_stats_json;
     std::vector<unsigned> tier_masks; // every --tiers given, checked
     Duration metrics_period = 100'000; // 100 us of simulated time
@@ -218,8 +216,6 @@ main(int argc, char **argv)
             stats_json = need(i);
         } else if (arg == "--trace-out") {
             trace_out = need(i);
-        } else if (arg == "--trace-jsonl") {
-            trace_jsonl = need(i);
         } else if (arg == "--metrics-out") {
             metrics_out = need(i);
         } else if (arg == "--record-trace") {
@@ -262,7 +258,7 @@ main(int argc, char **argv)
     cfg.checkInterval = *check_interval;
     if (workload_names.empty())
         workload_names.push_back("kmeans-omp");
-    if (!trace_out.empty() || !trace_jsonl.empty())
+    if (!trace_out.empty())
         cfg.trace = true;
     if (!metrics_out.empty())
         cfg.metricsPeriod = metrics_period;
@@ -322,10 +318,6 @@ main(int argc, char **argv)
     if (!trace_out.empty()) {
         io_ok &= obs::writeFile(trace_out,
                                 obs::toChromeJson(machine.tracer()));
-    }
-    if (!trace_jsonl.empty()) {
-        io_ok &= obs::writeFile(trace_jsonl,
-                                obs::toJsonl(machine.tracer()));
     }
     if (!metrics_out.empty()) {
         io_ok &= obs::writeFile(metrics_out,

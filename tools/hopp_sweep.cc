@@ -10,12 +10,14 @@
  * The sweep is the cross product workload x system x ratio, enumerated
  * workload-major. Each configuration runs on its own fully-independent
  * Machine; with --jobs N the runs execute on N host threads through
- * runner::SweepPool. Every run renders its own result fragment (stats
- * JSON included) inside its task, and fragments are concatenated in
- * submission order — so the output is byte-identical for every --jobs
- * value, which the sweep.determinism ctest and the CI sweep smoke
- * verify by diffing --jobs 1 against --jobs 4. --jobs deliberately
- * does not appear in the document.
+ * runner::SweepPool. Each task returns its run's values (stats and
+ * makespan), and the main thread renders the document from them in
+ * submission order through stats::JsonWriter — so the output is valid
+ * JSON for every accepted input and byte-identical for every --jobs
+ * value, which the hopp_sweep.determinism ctest verifies by diffing
+ * --jobs 1 against --jobs 4. --jobs deliberately does not appear in
+ * the document. Each `ratio` is written in its shortest round-trip
+ * form, so `--ratio .5` reads back as 0.5.
  *
  * Examples:
  *   hopp-sweep --workload kmeans-omp --system hopp --system fastswap \
@@ -36,6 +38,7 @@
 #include "runner/machine.hh"
 #include "runner/stats_report.hh"
 #include "runner/sweep_pool.hh"
+#include "stats/json_writer.hh"
 
 using namespace hopp;
 using namespace hopp::runner;
@@ -68,38 +71,21 @@ struct SweepConfig
 {
     std::string workload;
     SystemKind system;
-    std::string ratioText; //!< as given on the command line
     double ratio;
 };
 
-/** Indent every line of a rendered JSON block by @p pad spaces. */
-std::string
-indent(const std::string &text, int pad)
+/** What one run contributes to the document. */
+struct RunOut
 {
-    std::string out;
-    std::string prefix(static_cast<std::size_t>(pad), ' ');
-    std::size_t start = 0;
-    while (start < text.size()) {
-        std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos)
-            nl = text.size();
-        if (nl > start)
-            out += prefix + text.substr(start, nl - start);
-        out += '\n';
-        start = nl + 1;
-    }
-    // Drop the trailing newline so the caller controls separators.
-    if (!out.empty() && out.back() == '\n')
-        out.pop_back();
-    return out;
-}
+    stats::JsonFields stats;
+    Tick makespan;
+};
 
 /**
- * Run one configuration and render its complete result fragment. All
- * state — Machine, stats, the rendered string — is local to the call,
- * which is what makes the sweep safe to parallelize.
+ * Run one configuration. All state — Machine and stats — is local to
+ * the call, which is what makes the sweep safe to parallelize.
  */
-std::string
+RunOut
 runOneConfig(const SweepConfig &sc, const workloads::WorkloadScale &scale,
              std::uint64_t seed)
 {
@@ -112,19 +98,7 @@ runOneConfig(const SweepConfig &sc, const workloads::WorkloadScale &scale,
     machine.addWorkload(
         workloads::makeWorkload(sc.workload, scale, seed + 1));
     RunResult r = machine.run();
-
-    std::string out;
-    out += "    {\n";
-    out += "      \"workload\": \"" + sc.workload + "\",\n";
-    out += "      \"system\": \"" + std::string(systemName(sc.system)) +
-           "\",\n";
-    out += "      \"ratio\": " + sc.ratioText + ",\n";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.0f", toDouble(r.makespan));
-    out += "      \"makespan_ns\": " + std::string(buf) + ",\n";
-    out += "      \"stats\":\n" + indent(statsJson(machine), 6) + "\n";
-    out += "    }";
-    return out;
+    return RunOut{statsFields(machine), r.makespan};
 }
 
 } // namespace
@@ -134,7 +108,7 @@ main(int argc, char **argv)
 {
     std::vector<std::string> workload_names;
     std::vector<SystemKind> systems;
-    std::vector<std::pair<std::string, double>> ratios;
+    std::vector<double> ratios;
     workloads::WorkloadScale scale;
     std::optional<std::uint64_t> seed = 42;
     std::optional<unsigned> jobs = 1;
@@ -163,8 +137,7 @@ main(int argc, char **argv)
                 return cli::rejectName("hopp-sweep", "--system", name);
             systems.push_back(*kind);
         } else if (arg == "--ratio") {
-            std::string text = need(i);
-            ratios.emplace_back(text, cli::parseReal(text.c_str()));
+            ratios.push_back(cli::parseReal(need(i)));
         } else if (arg == "--scale") {
             scale.footprint = cli::parseReal(need(i));
         } else if (arg == "--iterations") {
@@ -184,11 +157,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    std::vector<double> ratio_values;
-    for (const auto &ratio : ratios)
-        ratio_values.push_back(ratio.second);
     if (int rc = cli::checkFlags("hopp-sweep",
-                                 {.ratios = ratio_values,
+                                 {.ratios = ratios,
                                   .scale = scale.footprint,
                                   .iterations = scale.iterations,
                                   .seed = seed,
@@ -199,32 +169,37 @@ main(int argc, char **argv)
     if (systems.empty())
         systems.push_back(SystemKind::Hopp);
     if (ratios.empty())
-        ratios.emplace_back("0.5", 0.5);
+        ratios.push_back(0.5);
 
     // Cross product, workload-major: the submission order IS the
     // document order, whatever --jobs is.
     std::vector<SweepConfig> configs;
     for (const auto &w : workload_names)
         for (SystemKind s : systems)
-            for (const auto &[text, value] : ratios)
-                configs.push_back(SweepConfig{w, s, text, value});
+            for (double ratio : ratios)
+                configs.push_back(SweepConfig{w, s, ratio});
 
     SweepPool pool(*jobs == 0 ? SweepPool::hardwareJobs() : *jobs);
-    std::vector<std::string> fragments = pool.run<std::string>(
+    std::vector<RunOut> runs = pool.run<RunOut>(
         configs.size(), [&](std::size_t i) {
             return runOneConfig(configs[i], scale, *seed);
         });
 
-    std::string doc;
-    doc += "{\n";
-    doc += "  \"schema\": \"hopp-sweep-v1\",\n";
-    doc += "  \"runs\": [\n";
-    for (std::size_t i = 0; i < fragments.size(); ++i) {
-        doc += fragments[i];
-        doc += i + 1 < fragments.size() ? ",\n" : "\n";
+    stats::JsonWriter w;
+    w.beginObject();
+    w.key("schema").value("hopp-sweep-v1");
+    w.key("runs").beginArray();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        w.beginObject();
+        w.key("workload").value(configs[i].workload);
+        w.key("system").value(systemName(configs[i].system));
+        w.key("ratio").shortest(configs[i].ratio);
+        w.key("makespan_ns").value(toDouble(runs[i].makespan));
+        w.key("stats").fields(runs[i].stats);
+        w.end();
     }
-    doc += "  ]\n";
-    doc += "}\n";
+    w.end();
+    std::string doc = w.end().finish();
 
     if (out_path.empty()) {
         std::fputs(doc.c_str(), stdout);

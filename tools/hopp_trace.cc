@@ -4,9 +4,9 @@
  *
  *   hopp_trace [--check] [--summary] [--top N] FILE
  *
- * FILE is either a Chrome trace_event JSON document (hopp-run
- * --trace-out) or a JSONL file with one event object per line
- * (--trace-jsonl); the format is auto-detected.
+ * FILE is a Chrome trace_event JSON document (hopp-run --trace-out).
+ * A FILE that is not JSON gets one stderr line naming it and the
+ * parse error, and exit 1.
  *
  * --check    validate only: JSON well-formedness, required fields,
  *            monotonic timestamps, balanced B/E and b/e spans.
@@ -58,53 +58,6 @@ readFile(const std::string &path, std::string &out)
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
         out.append(buf, n);
     std::fclose(f);
-    return true;
-}
-
-/**
- * Parse the input in either framing. A Chrome trace parses as one
- * document; a JSONL file fails that (multiple roots), so fall back to
- * line-by-line parsing. @p storage keeps the parsed values alive for
- * the returned TraceCheck walk.
- */
-bool
-parseAndCheck(const std::string &text, TraceCheck &out)
-{
-    json::Value root;
-    std::string err;
-    if (json::parse(text, root, &err)) {
-        out = hopp::obs::checkTrace(root);
-        return true;
-    }
-
-    // JSONL: every non-empty line is one event object.
-    std::vector<json::Value> events;
-    std::size_t start = 0, lineno = 0;
-    while (start < text.size()) {
-        std::size_t end = text.find('\n', start);
-        if (end == std::string::npos)
-            end = text.size();
-        ++lineno;
-        std::string line = text.substr(start, end - start);
-        start = end + 1;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        json::Value v;
-        std::string line_err;
-        if (!json::parse(line, v, &line_err)) {
-            std::fprintf(stderr,
-                         "hopp_trace: not valid JSON (%s) nor JSONL"
-                         " (line %zu: %s)\n",
-                         err.c_str(), lineno, line_err.c_str());
-            return false;
-        }
-        events.push_back(std::move(v));
-    }
-    std::vector<const json::Value *> ptrs;
-    ptrs.reserve(events.size());
-    for (const auto &e : events)
-        ptrs.push_back(&e);
-    out = hopp::obs::checkEvents(ptrs);
     return true;
 }
 
@@ -214,9 +167,14 @@ main(int argc, char **argv)
     if (!readFile(path, text))
         return 1;
 
-    TraceCheck result;
-    if (!parseAndCheck(text, result))
+    json::Value root;
+    std::string err;
+    if (!json::parse(text, root, &err)) {
+        std::fprintf(stderr, "hopp_trace: %s: %s\n", path.c_str(),
+                     err.c_str());
         return 1;
+    }
+    TraceCheck result = hopp::obs::checkTrace(root);
 
     for (const auto &e : result.errors)
         std::fprintf(stderr, "hopp_trace: %s\n", e.c_str());
