@@ -1,9 +1,10 @@
 /**
  * @file
  * Ablation: policy-engine parameters (§III-E) and software data-path
- * latency. Sweeps the timeliness band [T_min, T_max], the adaptation
- * step alpha, and the trainer's hot-page-to-decision delay, on the
- * §VI-E microbenchmark.
+ * latency. Sweeps T_min, the lower end of the timeliness band (T_max
+ * is the policy engine's constant 5 ms), the adaptation step alpha,
+ * and the trainer's hot-page-to-decision delay, on the §VI-E
+ * microbenchmark.
  */
 
 #include <cstdio>

@@ -28,12 +28,6 @@ formatMessage(const char *fmt, ...)
 }
 
 void
-emitMessage(const char *kind, const std::string &msg)
-{
-    std::fprintf(stderr, "[%s] %s\n", kind, msg.c_str());
-}
-
-void
 terminateWithMessage(const char *kind, const char *file, int line,
                      const std::string &msg, bool core_dump)
 {

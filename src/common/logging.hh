@@ -3,7 +3,7 @@
  * Error and status reporting in the gem5 tradition.
  *
  * panic() is for internal invariant violations (a HoPP bug), fatal() for
- * unrecoverable user/configuration errors, warn()/inform() for status.
+ * unrecoverable user/configuration errors.
  */
 
 #pragma once
@@ -23,8 +23,6 @@ namespace detail
                                        int line, const std::string &msg,
                                        bool core_dump);
 
-void emitMessage(const char *kind, const std::string &msg);
-
 std::string formatMessage(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
@@ -41,16 +39,6 @@ std::string formatMessage(const char *fmt, ...)
     ::hopp::detail::terminateWithMessage(                                    \
         "fatal", __FILE__, __LINE__,                                         \
         ::hopp::detail::formatMessage(__VA_ARGS__), false)
-
-/** Non-fatal warning about questionable behaviour. */
-#define hopp_warn(...)                                                       \
-    ::hopp::detail::emitMessage(                                             \
-        "warn", ::hopp::detail::formatMessage(__VA_ARGS__))
-
-/** Informational status message. */
-#define hopp_inform(...)                                                     \
-    ::hopp::detail::emitMessage(                                             \
-        "info", ::hopp::detail::formatMessage(__VA_ARGS__))
 
 /** Cheap always-on assertion used to protect simulation invariants. */
 #define hopp_assert(cond, ...)                                               \

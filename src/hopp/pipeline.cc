@@ -126,8 +126,8 @@ HotPagePipeline::keepWarm(Pid pid, Vpn vpn, Tick now)
     const Hotness *h = lastHot_.find(vm::pageKey(pid, vpn));
     if (!h)
         return false;
-    return h->prev != Tick{} && now - h->last < cfg_.warmWindow &&
-           h->last - h->prev < cfg_.warmWindow;
+    return h->prev != Tick{} && now - h->last < warmWindow &&
+           h->last - h->prev < warmWindow;
 }
 
 void
@@ -227,7 +227,7 @@ HotPagePipeline::pruneWarm(Tick now)
     ++warmPrunePasses_;
     warmPruned_ += lastHot_.eraseIf(
         [this, now](std::uint64_t, const Hotness &h) {
-            return now - h.last >= cfg_.warmWindow;
+            return now - h.last >= warmWindow;
         });
     // If (nearly) everything is genuinely warm the table legitimately
     // exceeds the cap; back the next trigger off so a hot phase does

@@ -89,14 +89,12 @@ struct HoppConfig
      */
     bool evictionAdvisor = false;
 
-    /** Pages hot within this window are kept from eviction. */
-    Duration warmWindow = 2'000'000; // 2 ms
-
     /**
      * Advisor hotness-table size that triggers an age-based prune:
-     * entries whose last hot extraction fell out of warmWindow are
-     * dropped (they can no longer satisfy keepWarm), fresh ones
-     * survive. Sized so prunes are rare outside adversarial sweeps.
+     * entries whose last hot extraction fell out of the pipeline's
+     * warmWindow are dropped (they can no longer satisfy keepWarm),
+     * fresh ones survive. Sized so prunes are rare outside
+     * adversarial sweeps.
      */
     std::size_t warmEntriesCap = 1 << 20;
 
@@ -128,6 +126,9 @@ struct HoppConfig
 class HotPagePipeline
 {
   public:
+    /** Pages hot within this window are kept from eviction. */
+    static constexpr Duration warmWindow = 2'000'000; // 2 ms
+
     /**
      * @p dram is charged the HoPP hardware traffic (hot-page ring
      * writes, RPT-cache fills and write-backs); @p policy and @p sink

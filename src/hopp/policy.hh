@@ -69,7 +69,6 @@ struct PolicyConfig
     double offsetInit = 1.0;
     double offsetMax = 1024.0;
     Duration tMin = 40'000;    // 40 us
-    Duration tMax = 5'000'000; // 5 ms
     unsigned intensity = 1;  // pages prefetched per hot page
 
     /**
@@ -99,6 +98,10 @@ struct PolicyStats
 class PolicyEngine
 {
   public:
+    /** Upper end of the timeliness target T (PolicyConfig::tMin is
+     *  the lower). */
+    static constexpr Duration tMax = 5'000'000; // 5 ms
+
     explicit PolicyEngine(const PolicyConfig &cfg = {}) : cfg_(cfg) {}
 
     /**
@@ -133,7 +136,7 @@ class PolicyEngine
         if (avg < static_cast<double>(cfg_.tMin)) {
             s.offset *= 1.0 + cfg_.alpha;
             ++stats_.increases;
-        } else if (avg > static_cast<double>(cfg_.tMax)) {
+        } else if (avg > static_cast<double>(tMax)) {
             s.offset *= 1.0 - cfg_.alpha;
             ++stats_.decreases;
         }

@@ -11,7 +11,7 @@ namespace
 std::size_t
 setsFor(const RptCacheConfig &cfg)
 {
-    std::uint64_t entries = cfg.capacityBytes / cfg.entryBytes;
+    std::uint64_t entries = cfg.capacityBytes / RptCache::entryBytes;
     std::uint64_t sets = entries / cfg.ways;
     hopp_assert(sets > 0, "RPT cache too small");
     while (sets & (sets - 1))
@@ -22,7 +22,7 @@ setsFor(const RptCacheConfig &cfg)
 } // namespace
 
 RptCache::RptCache(Rpt &rpt, mem::Dram &dram, const RptCacheConfig &cfg)
-    : rpt_(rpt), dram_(dram), cfg_(cfg), cache_(setsFor(cfg), cfg.ways)
+    : rpt_(rpt), dram_(dram), cache_(setsFor(cfg), cfg.ways)
 {
 }
 
@@ -32,7 +32,7 @@ RptCache::writeback(Ppn ppn, const Line &line)
     if (!line.dirty)
         return;
     ++stats_.writebacks;
-    dram_.recordTraffic(mem::TrafficSource::RptUpdate, cfg_.entryBytes);
+    dram_.recordTraffic(mem::TrafficSource::RptUpdate, entryBytes);
     rpt_.store(ppn, line.entry);
 }
 
@@ -45,7 +45,7 @@ RptCache::lookup(Ppn ppn)
         return line->entry;
     }
     ++stats_.misses;
-    dram_.recordTraffic(mem::TrafficSource::RptQuery, cfg_.missFillBytes);
+    dram_.recordTraffic(mem::TrafficSource::RptQuery, missFillBytes);
     auto from_dram = rpt_.load(ppn);
     if (!from_dram) {
         ++stats_.missUnmapped;
@@ -75,7 +75,7 @@ RptCache::invalidate(Ppn ppn)
     ++stats_.invalidates;
     cache_.erase(ppn);
     ++stats_.writebacks;
-    dram_.recordTraffic(mem::TrafficSource::RptUpdate, cfg_.entryBytes);
+    dram_.recordTraffic(mem::TrafficSource::RptUpdate, entryBytes);
     rpt_.erase(ppn);
 }
 

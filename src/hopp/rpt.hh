@@ -80,12 +80,6 @@ struct RptCacheConfig
 
     /** Associativity. */
     std::size_t ways = 16;
-
-    /** Entry footprint (64-bit packed entry). */
-    std::uint64_t entryBytes = 8;
-
-    /** DRAM burst transferred on a cache miss (one cacheline). */
-    std::uint64_t missFillBytes = 64;
 };
 
 /** RPT cache counters. */
@@ -117,6 +111,12 @@ struct RptCacheStats
 class RptCache
 {
   public:
+    /** Entry footprint (64-bit packed entry). */
+    static constexpr std::uint64_t entryBytes = 8;
+
+    /** DRAM burst transferred on a cache miss (one cacheline). */
+    static constexpr std::uint64_t missFillBytes = 64;
+
     RptCache(Rpt &rpt, mem::Dram &dram, const RptCacheConfig &cfg = {});
 
     /**
@@ -151,7 +151,6 @@ class RptCache
 
     Rpt &rpt_;
     mem::Dram &dram_;
-    RptCacheConfig cfg_;
     mem::SetAssocCache<Line, Ppn> cache_;
     RptCacheStats stats_;
 };

@@ -78,7 +78,7 @@ Stt::feed(Pid pid, Vpn vpn)
             continue;
         std::uint64_t dist = vpn > e.lastVpn ? vpn - e.lastVpn
                                              : e.lastVpn - vpn;
-        if (dist <= cfg_.streamDelta && dist < best_dist) {
+        if (dist <= streamDelta && dist < best_dist) {
             best = &e;
             best_dist = dist;
         }

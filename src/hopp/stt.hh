@@ -45,9 +45,6 @@ struct SttConfig
      *  maxTrainHistory). */
     unsigned historyLen = 16;
 
-    /** Δ_stream: max |VPN - last VPN| for clustering into a stream. */
-    std::uint64_t streamDelta = 64;
-
     /** Same geometry = same behaviour: backends with equal configs
      *  can share one table (HotPagePipeline's STT groups). */
     bool operator==(const SttConfig &) const = default;
@@ -100,6 +97,9 @@ struct SttStats
 class Stt
 {
   public:
+    /** Δ_stream: max |VPN - last VPN| for clustering into a stream. */
+    static constexpr std::uint64_t streamDelta = 64;
+
     explicit Stt(const SttConfig &cfg = {});
 
     /**

@@ -64,25 +64,13 @@ latencyClassName(LatencyClass c)
 class FaultLatency : public vm::PageEventListener
 {
   public:
-    /**
-     * Feed the §II-A constants used for decomposition: the per-miss
-     * DRAM-hit charge (the latency of an injected first touch) and
-     * the fixed kernel overhead of a remote fault (steps 1+2+3+6).
-     */
-    void
-    setCostModel(const vm::CostModel &cost)
-    {
-        dramHitCost_ = cost.dramHit;
-        remoteOverhead_ = cost.remoteFaultOverhead();
-    }
-
     void
     onPrefetchHit(Pid, Vpn, vm::Origin, Tick, Tick, bool dram_hit) override
     {
         // Injected pages resolve without a fault; their first touch
         // costs exactly the DRAM-hit charge.
         if (dram_hit)
-            hist(LatencyClass::DramHit).sample(dramHitCost_);
+            hist(LatencyClass::DramHit).sample(vm::CostModel::dramHit);
     }
 
     void
@@ -101,9 +89,10 @@ class FaultLatency : public vm::PageEventListener
             break;
           case vm::FaultKind::Remote:
             hist(LatencyClass::RemoteFault).sample(latency);
+            // Strip the fixed §II-A kernel steps 1+2+3+6.
             hist(LatencyClass::RemoteTransfer)
-                .sample(latency > remoteOverhead_
-                            ? latency - remoteOverhead_
+                .sample(latency > vm::CostModel::faultOverhead()
+                            ? latency - vm::CostModel::faultOverhead()
                             : 0);
             break;
         }
@@ -151,8 +140,6 @@ class FaultLatency : public vm::PageEventListener
     }
 
     std::array<stats::Histogram, latencyClassCount> hists_;
-    Duration dramHitCost_ = 0;
-    Duration remoteOverhead_ = 0;
 };
 
 } // namespace hopp::obs

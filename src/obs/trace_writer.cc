@@ -91,4 +91,19 @@ writeFile(const std::string &path, const std::string &content)
     return ok;
 }
 
+bool
+readFile(const std::string &path, std::string &out)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    char buf[1 << 16];
+    std::size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        out.append(buf, n);
+    bool ok = !std::ferror(f);
+    std::fclose(f);
+    return ok;
+}
+
 } // namespace hopp::obs

@@ -32,5 +32,12 @@ std::string toChromeJson(const Tracer &tracer);
  */
 bool writeFile(const std::string &path, const std::string &content);
 
+/**
+ * Append the whole of @p path to @p out.
+ * @return false when the file cannot be opened or read. Prints
+ *         nothing: the calling tool names itself in its message.
+ */
+bool readFile(const std::string &path, std::string &out);
+
 } // namespace hopp::obs
 

@@ -23,14 +23,6 @@ class DepthN : public Prefetcher
   public:
     DepthN(vm::Vms &vms, unsigned depth) : vms_(vms), depth_(depth) {}
 
-    std::string
-    name() const override
-    {
-        return "depth-" + std::to_string(depth_);
-    }
-
-    vm::Origin origin() const override { return origin::depthn; }
-
     void
     onFault(const vm::FaultContext &ctx) override
     {
@@ -39,9 +31,6 @@ class DepthN : public Prefetcher
                                 ctx.now);
         }
     }
-
-    /** Configured depth. */
-    unsigned depth() const { return depth_; }
 
   private:
     vm::Vms &vms_;

@@ -22,7 +22,7 @@ Leap::detectStride() const
     }
     // Try growing windows over the newest strides; accept the first
     // Boyer-Moore candidate that is a true majority.
-    for (unsigned w = cfg_.minWindow; w <= strides.size(); w *= 2) {
+    for (unsigned w = minWindow; w <= strides.size(); w *= 2) {
         std::size_t begin = strides.size() - w;
         std::int64_t cand = 0;
         int count = 0;
@@ -59,8 +59,8 @@ Leap::adaptDepth()
     if (c == 0)
         return;
     double ratio = static_cast<double>(h) / static_cast<double>(c);
-    if (ratio > cfg_.growThreshold)
-        depth_ = std::min(depth_ * 2, cfg_.maxDepth);
+    if (ratio > growThreshold)
+        depth_ = std::min(depth_ * 2, maxDepth);
     else
         depth_ = std::max(depth_ / 2, 1u);
 }
@@ -69,7 +69,7 @@ void
 Leap::onFault(const vm::FaultContext &ctx)
 {
     history_.emplace_back(ctx.pid, ctx.vpn);
-    if (history_.size() > cfg_.historySize)
+    if (history_.size() > historySize)
         history_.pop_front();
 
     if (++faults_ % cfg_.epochFaults == 0)
@@ -90,7 +90,7 @@ Leap::onFault(const vm::FaultContext &ctx)
         return;
     }
     // No trend: shallow sequential fallback.
-    for (unsigned i = 1; i <= cfg_.fallbackDepth; ++i) {
+    for (unsigned i = 1; i <= fallbackDepth; ++i) {
         vms_.prefetchToSwapCache(ctx.pid, ctx.vpn + i, origin::leap,
                                  ctx.now);
     }

@@ -20,26 +20,11 @@ namespace hopp::prefetch
 /** Leap knobs. */
 struct LeapConfig
 {
-    /** Fault-address history capacity. */
-    unsigned historySize = 32;
-
-    /** Smallest majority window tried (doubles up to historySize). */
-    unsigned minWindow = 4;
-
     /** Initial prefetch depth along the detected stride. */
     unsigned initialDepth = 4;
 
-    /** Max prefetch depth. */
-    unsigned maxDepth = 32;
-
     /** Faults per depth-adaptation epoch. */
     unsigned epochFaults = 32;
-
-    /** Hit ratio above which the depth doubles (else halves). */
-    double growThreshold = 0.5;
-
-    /** Depth of the no-trend sequential fallback. */
-    unsigned fallbackDepth = 2;
 };
 
 /**
@@ -52,14 +37,25 @@ struct LeapConfig
 class Leap : public Prefetcher, public vm::PageEventListener
 {
   public:
+    /** Fault-address history capacity. */
+    static constexpr unsigned historySize = 32;
+
+    /** Smallest majority window tried (doubles up to historySize). */
+    static constexpr unsigned minWindow = 4;
+
+    /** Max prefetch depth. */
+    static constexpr unsigned maxDepth = 32;
+
+    /** Hit ratio above which the depth doubles (else halves). */
+    static constexpr double growThreshold = 0.5;
+
+    /** Depth of the no-trend sequential fallback. */
+    static constexpr unsigned fallbackDepth = 2;
+
     Leap(vm::Vms &vms, const LeapConfig &cfg = {})
         : vms_(vms), cfg_(cfg), depth_(cfg.initialDepth)
     {
     }
-
-    std::string name() const override { return "leap"; }
-
-    vm::Origin origin() const override { return origin::leap; }
 
     void onFault(const vm::FaultContext &ctx) override;
 

@@ -8,8 +8,6 @@
 
 #pragma once
 
-#include <string>
-
 #include "vm/listener.hh"
 
 namespace hopp::prefetch
@@ -32,12 +30,6 @@ class Prefetcher
 {
   public:
     virtual ~Prefetcher() = default;
-
-    /** Human-readable name for reports. */
-    virtual std::string name() const = 0;
-
-    /** Origin id stamped on this prefetcher's fetches. */
-    virtual vm::Origin origin() const = 0;
 
     /** Invoked by the VMS on every non-cold page fault. */
     virtual void onFault(const vm::FaultContext &ctx) = 0;

@@ -21,46 +21,36 @@
 namespace hopp::prefetch
 {
 
-/** Readahead knobs. */
-struct ReadaheadConfig
-{
-    /** Max cluster fetched around the faulting slot (page-cluster). */
-    unsigned maxWindow = 8;
-
-    /** Smallest adaptive window. */
-    unsigned minWindow = 2;
-
-    /** Faults per window-adaptation epoch. */
-    unsigned epochFaults = 64;
-
-    /** Hit ratio above which the window grows. */
-    double growThreshold = 0.5;
-
-    /** Hit ratio below which the window halves. */
-    double shrinkThreshold = 0.25;
-};
-
 /**
  * Swap-offset cluster readahead into the swapcache.
  */
 class Readahead : public Prefetcher, public vm::PageEventListener
 {
   public:
-    Readahead(vm::Vms &vms, remote::SwapBackend &backend,
-              const ReadaheadConfig &cfg = {})
-        : vms_(vms), backend_(backend), cfg_(cfg),
-          window_(cfg.maxWindow)
+    /** Max cluster fetched around the faulting slot (page-cluster). */
+    static constexpr unsigned maxWindow = 8;
+
+    /** Smallest adaptive window. */
+    static constexpr unsigned minWindow = 2;
+
+    /** Faults per window-adaptation epoch. */
+    static constexpr unsigned epochFaults = 64;
+
+    /** Hit ratio above which the window grows. */
+    static constexpr double growThreshold = 0.5;
+
+    /** Hit ratio below which the window halves. */
+    static constexpr double shrinkThreshold = 0.25;
+
+    Readahead(vm::Vms &vms, remote::SwapBackend &backend)
+        : vms_(vms), backend_(backend)
     {
     }
-
-    std::string name() const override { return "fastswap-readahead"; }
-
-    vm::Origin origin() const override { return origin::readahead; }
 
     void
     onFault(const vm::FaultContext &ctx) override
     {
-        if (++faults_ % cfg_.epochFaults == 0)
+        if (++faults_ % epochFaults == 0)
             adaptWindow();
         if (ctx.slot == remote::noSlot)
             return;
@@ -102,16 +92,15 @@ class Readahead : public Prefetcher, public vm::PageEventListener
         if (c == 0)
             return;
         double ratio = static_cast<double>(h) / static_cast<double>(c);
-        if (ratio > cfg_.growThreshold)
-            window_ = std::min(window_ * 2, cfg_.maxWindow);
-        else if (ratio < cfg_.shrinkThreshold)
-            window_ = std::max(window_ / 2, cfg_.minWindow);
+        if (ratio > growThreshold)
+            window_ = std::min(window_ * 2, maxWindow);
+        else if (ratio < shrinkThreshold)
+            window_ = std::max(window_ / 2, minWindow);
     }
 
     vm::Vms &vms_;
     remote::SwapBackend &backend_;
-    ReadaheadConfig cfg_;
-    unsigned window_;
+    unsigned window_ = maxWindow;
     std::uint64_t faults_ = 0;
     std::uint64_t completed_ = 0;
     std::uint64_t hits_ = 0;

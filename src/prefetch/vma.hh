@@ -13,32 +13,21 @@
 namespace hopp::prefetch
 {
 
-/** VMA readahead knobs. */
-struct VmaConfig
-{
-    /** Total window of virtually-adjacent pages fetched per fault. */
-    unsigned window = 8;
-};
-
 /**
  * Virtual-address neighbourhood readahead into the swapcache.
  */
 class VmaPrefetcher : public Prefetcher
 {
   public:
-    VmaPrefetcher(vm::Vms &vms, const VmaConfig &cfg = {})
-        : vms_(vms), cfg_(cfg)
-    {
-    }
+    /** Total window of virtually-adjacent pages fetched per fault. */
+    static constexpr unsigned window = 8;
 
-    std::string name() const override { return "vma-readahead"; }
-
-    vm::Origin origin() const override { return origin::vma; }
+    explicit VmaPrefetcher(vm::Vms &vms) : vms_(vms) {}
 
     void
     onFault(const vm::FaultContext &ctx) override
     {
-        unsigned half = cfg_.window / 2;
+        unsigned half = window / 2;
         for (unsigned i = 1; i <= half; ++i) {
             vms_.prefetchToSwapCache(ctx.pid, ctx.vpn + i, origin::vma,
                                      ctx.now);
@@ -51,7 +40,6 @@ class VmaPrefetcher : public Prefetcher
 
   private:
     vm::Vms &vms_;
-    VmaConfig cfg_;
 };
 
 } // namespace hopp::prefetch

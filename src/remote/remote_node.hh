@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "common/logging.hh"
 #include "common/types.hh"
@@ -23,9 +22,10 @@ using SwapSlot = std::uint64_t;
 inline constexpr SwapSlot noSlot = ~SwapSlot(0);
 
 /**
- * Remote memory node: allocates swap slots in ascending order (so that
+ * Remote memory node: allocates swap slots in ascending order, so that
  * slot adjacency mirrors eviction adjacency, which is what swap-offset
- * based readahead exploits) and recycles freed slots afterwards.
+ * based readahead exploits. A slot goes to one page and stays with it
+ * for the whole run: slots are never freed, so none is recycled.
  */
 class RemoteNode
 {
@@ -37,41 +37,19 @@ class RemoteNode
     SwapSlot
     allocate()
     {
-        if (!freed_.empty()) {
-            SwapSlot s = freed_.back();
-            freed_.pop_back();
-            ++live_;
-            return s;
-        }
         hopp_assert(next_ < capacity_, "remote memory node full");
-        ++live_;
         return next_++;
     }
 
-    /** Return a slot to the node. */
-    void
-    release(SwapSlot slot)
-    {
-        hopp_assert(slot < next_, "release of never-allocated slot");
-        hopp_assert(live_ > 0, "release with no live slots");
-        --live_;
-        freed_.push_back(slot);
-    }
-
-    /** Slots currently allocated. */
-    std::uint64_t liveSlots() const { return live_; }
+    /** Slots allocated so far (every one of them is live). */
+    std::uint64_t liveSlots() const { return next_; }
 
     /** Total capacity. */
     std::uint64_t capacity() const { return capacity_; }
 
-    /** High-water mark of slot ids handed out. */
-    std::uint64_t highWater() const { return next_; }
-
   private:
     std::uint64_t capacity_;
     std::uint64_t next_ = 0;
-    std::uint64_t live_ = 0;
-    std::vector<SwapSlot> freed_;
 };
 
 } // namespace hopp::remote

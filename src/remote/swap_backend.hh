@@ -43,47 +43,34 @@ class SwapBackend
         owners_.reserve(node.capacity());
     }
 
-    /** Allocate a slot for (pid, vpn); records the reverse mapping. */
+    /**
+     * Allocate a slot for (pid, vpn) and record the reverse mapping.
+     * The slot stays with that page for the whole run.
+     */
     SwapSlot
     allocate(Pid pid, Vpn vpn)
     {
         SwapSlot slot = node_.allocate();
-        hopp_assert(slot <= owners_.size(), "swap slot ids are not dense");
-        const Entry e{vpn, pid, true};
-        if (slot == owners_.size())
-            owners_.push_back(e);
-        else
-            owners_[slot] = e;
-        ++live_;
+        hopp_assert(slot == owners_.size(), "swap slot ids are not dense");
+        owners_.push_back(SlotOwner{pid, vpn});
         return slot;
     }
 
-    /** Free a slot (page dropped or process exit). */
-    void
-    release(SwapSlot slot)
-    {
-        hopp_assert(slot < owners_.size() && owners_[slot].live,
-                    "release of a slot with no owner");
-        owners_[slot].live = false;
-        --live_;
-        node_.release(slot);
-    }
-
-    /** Reverse-map a slot to its page, if live. */
+    /** Reverse-map a slot to its page, if allocated. */
     std::optional<SlotOwner>
     owner(SwapSlot slot) const
     {
-        if (slot >= owners_.size() || !owners_[slot].live)
+        if (slot >= owners_.size())
             return std::nullopt;
-        return owners_[slot].owner();
+        return owners_[slot];
     }
 
     /**
-     * Call @p fn(SlotOwner) for each live slot in [slot - before,
+     * Call @p fn(SlotOwner) for each allocated slot in [slot - before,
      * slot + after], excluding @p slot itself, in ascending slot
      * order. This is the neighbourhood swap-offset readahead fetches
      * around a faulting slot. The window is read as it is visited, so
-     * @p fn must not allocate or release slots.
+     * @p fn must not allocate slots.
      */
     template <typename Fn>
     void
@@ -93,8 +80,8 @@ class SwapBackend
         SwapSlot lo = slot >= before ? slot - before : 0;
         SwapSlot end = std::min<SwapSlot>(slot + after + 1, owners_.size());
         for (SwapSlot s = lo; s < end; ++s) {
-            if (s != slot && owners_[s].live)
-                fn(owners_[s].owner());
+            if (s != slot)
+                fn(owners_[s]);
         }
     }
 
@@ -163,27 +150,13 @@ class SwapBackend
     /** Multi-page batch reads issued. */
     std::uint64_t batchReads() const { return batchReads_; }
 
-    /** Live slot -> page mappings (for tests). */
-    std::size_t liveMappings() const { return live_; }
-
   private:
-    /** One slot's owner, laid out in SlotOwner's 16 bytes. */
-    struct Entry
-    {
-        Vpn vpn;
-        Pid pid;
-        bool live = false;
-
-        SlotOwner owner() const { return SlotOwner{pid, vpn}; }
-    };
-
     net::RdmaFabric &fabric_;
     RemoteNode &node_;
-    /// Owner of every slot the node has handed out, indexed by slot:
-    /// a lookup is one index, and the readahead window is a
-    /// contiguous scan.
-    std::vector<Entry> owners_;
-    std::size_t live_ = 0;
+    /// Owner of every slot the node has handed out, indexed by slot
+    /// and only ever appended to: a lookup is one index, and the
+    /// readahead window is a contiguous scan.
+    std::vector<SlotOwner> owners_;
     std::uint64_t demandReads_ = 0;
     std::uint64_t prefetchReads_ = 0;
     std::uint64_t writebacks_ = 0;

@@ -129,22 +129,19 @@ Machine::build()
       case SystemKind::NoPrefetch:
         break;
       case SystemKind::Fastswap: {
-        auto ra = std::make_unique<prefetch::Readahead>(
-            *vms_, *backend_, cfg_.readahead);
+        auto ra = std::make_unique<prefetch::Readahead>(*vms_, *backend_);
         vms_->addListener(ra.get());
         prefetcher_ = std::move(ra);
         break;
       }
       case SystemKind::Leap: {
-        auto leap =
-            std::make_unique<prefetch::Leap>(*vms_, cfg_.leap);
+        auto leap = std::make_unique<prefetch::Leap>(*vms_);
         vms_->addListener(leap.get());
         prefetcher_ = std::move(leap);
         break;
       }
       case SystemKind::Vma:
-        prefetcher_ =
-            std::make_unique<prefetch::VmaPrefetcher>(*vms_, cfg_.vma);
+        prefetcher_ = std::make_unique<prefetch::VmaPrefetcher>(*vms_);
         break;
       case SystemKind::DepthN:
         prefetcher_ =
@@ -153,8 +150,7 @@ Machine::build()
       case SystemKind::Hopp: {
         // HoPP complements an existing kernel-based system: Fastswap's
         // readahead keeps running on the fault path (§V).
-        auto ra = std::make_unique<prefetch::Readahead>(
-            *vms_, *backend_, cfg_.readahead);
+        auto ra = std::make_unique<prefetch::Readahead>(*vms_, *backend_);
         vms_->addListener(ra.get());
         prefetcher_ = std::move(ra);
         hoppSystem_ = std::make_unique<core::HoppSystem>(
@@ -192,7 +188,6 @@ Machine::build()
     // Observability plane. Latency histograms are always on (their
     // cost is one sample per fault); the tracer and sampler only when
     // asked for.
-    latency_.setCostModel(cfg_.vms.cost);
     vms_->addListener(&latency_);
     if (cfg_.trace) {
         tracer_.enable(true);

@@ -71,9 +71,6 @@ struct MachineConfig
     net::LinkConfig link;
     vm::VmsConfig vms;
     core::HoppConfig hopp;
-    prefetch::ReadaheadConfig readahead;
-    prefetch::LeapConfig leap;
-    prefetch::VmaConfig vma;
 
     /** Extra uncharged DRAM frames beyond the cgroup limits. */
     static constexpr std::uint64_t dramSlackFrames = 512;
@@ -237,7 +234,7 @@ class Machine
         std::uint64_t accesses = 0;
         bool done = false;
         /// Per-thread translation cache; registered as a PTE hook so
-        /// eviction / teardown / injection-revoke shoot it down. Lives
+        /// eviction and injection-revoke shoot it down. Lives
         /// here (threads are unique_ptr-stable) so its address can sit
         /// in the VMS hook list for the machine's lifetime.
         vm::Tlb tlb;

@@ -24,8 +24,6 @@ sameHardware(const core::HoppConfig &a, const core::HoppConfig &b)
            a.hpd.threshold == b.hpd.threshold &&
            a.rptCache.capacityBytes == b.rptCache.capacityBytes &&
            a.rptCache.ways == b.rptCache.ways &&
-           a.rptCache.entryBytes == b.rptCache.entryBytes &&
-           a.rptCache.missFillBytes == b.rptCache.missFillBytes &&
            a.channels == b.channels &&
            a.channelInterleaved == b.channelInterleaved &&
            a.scaleThresholdWithChannels ==
@@ -33,7 +31,6 @@ sameHardware(const core::HoppConfig &a, const core::HoppConfig &b)
            a.ringCapacity == b.ringCapacity &&
            a.trainerDelay == b.trainerDelay &&
            a.evictionAdvisor == b.evictionAdvisor &&
-           a.warmWindow == b.warmWindow &&
            a.warmEntriesCap == b.warmEntriesCap;
 }
 
@@ -155,7 +152,7 @@ ReplayEngine::oracleRequest(unsigned cell, Pid pid, Vpn vpn, Tick now)
         ++c.outstanding;
     po.pendingMask |= bit;
     ready_[std::size_t{po.row} * cells_.size() + cell] =
-        now + c.cfg.arrivalDelay;
+        now + arrivalDelay;
 }
 
 void
@@ -174,7 +171,7 @@ ReplayEngine::oracleDemand(std::uint32_t page, Tick now)
             Cell &c = *cells_[i];
             if (now < ready[i])
                 ++c.result.late;
-            else if (now - ready[i] <= c.cfg.useWindow)
+            else if (now - ready[i] <= useWindow)
                 ++c.result.used;
             else
                 ++c.result.unused;

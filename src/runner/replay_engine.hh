@@ -48,21 +48,14 @@
 namespace hopp::runner
 {
 
-/** Replay-run configuration: the pipeline plus the oracle model. */
+/**
+ * Replay-run configuration: the pipeline under evaluation. The oracle
+ * model's windows are ReplayEngine constants.
+ */
 struct ReplayConfig
 {
     /** The HoPP configuration under evaluation. */
     core::HoppConfig hopp;
-
-    /**
-     * Modeled prefetch arrival latency: a prediction counts as timely
-     * only for demand reads at least this much later (a stand-in for
-     * the fabric transfer the live ExecEngine would have issued).
-     */
-    Duration arrivalDelay = 8'300;
-
-    /** A prediction unused for this long no longer counts as a hit. */
-    Duration useWindow = 5'000'000;
 };
 
 /** Outcome of one replay. */
@@ -109,14 +102,23 @@ inline constexpr std::size_t maxReplayCells = 32;
 class ReplayEngine
 {
   public:
+    /**
+     * Modeled prefetch arrival latency: a prediction counts as timely
+     * only for demand reads at least this much later (a stand-in for
+     * the fabric transfer the live ExecEngine would have issued).
+     */
+    static constexpr Duration arrivalDelay = 8'300;
+
+    /** A prediction unused for this long no longer counts as a hit. */
+    static constexpr Duration useWindow = 5'000'000;
+
     ReplayEngine() : ReplayEngine(ReplayConfig{}) {}
     explicit ReplayEngine(const ReplayConfig &cfg);
 
     /**
      * Fan-out constructor: every cell must share the hardware half of
      * the configuration with cells[0] (asserted); the software half
-     * (tierMask, batch, markov, stt, policy, oracle windows) may vary
-     * freely.
+     * (tierMask, batch, markov, stt, policy) may vary freely.
      */
     explicit ReplayEngine(const std::vector<ReplayConfig> &cells);
 

@@ -20,19 +20,19 @@ namespace hopp::vm
 struct CostModel
 {
     /** Step 1: page-fault context switch. */
-    Duration contextSwitch = 300;
+    static constexpr Duration contextSwitch = 300;
 
     /** Step 2: kernel page-table walk to locate the PTE. */
-    Duration pageWalk = 600;
+    static constexpr Duration pageWalk = 600;
 
     /** Step 3: swapcache query (+ page/swap-entry allocation on miss). */
-    Duration swapCacheQuery = 400;
+    static constexpr Duration swapCacheQuery = 400;
 
     /** Step 5: direct (synchronous) reclaim, per reclaimed page. */
-    Duration directReclaimPerPage = 3000;
+    static constexpr Duration directReclaimPerPage = 3000;
 
     /** Step 6: establish PTE and return to user space. */
-    Duration pteEstablish = 1000;
+    static constexpr Duration pteEstablish = 1000;
 
     /**
      * Per-access occupancy of an LLC miss served by DRAM. The paper's
@@ -41,38 +41,26 @@ struct CostModel
      * miss is ~25 ns; anything larger makes applications artificially
      * compute-bound relative to the 4-9 us swap path.
      */
-    Duration dramHit = 25;
+    static constexpr Duration dramHit = 25;
 
     /** LLC hit occupancy (pipelined). */
-    Duration llcHit = 5;
+    static constexpr Duration llcHit = 5;
 
     /**
-     * Prefetch-hit: a fault that finds its page in the swapcache still
-     * pays steps 1+2+3+6 = 2.3 us (post Linux v5.8, §II-A).
+     * Fixed kernel overhead of every fault, steps 1+2+3+6 = 2.3 us
+     * (post Linux v5.8, §II-A). A prefetch hit (the page is in the
+     * swapcache) and a first-touch zero-fill fault pay exactly this; a
+     * remote fault pays it plus the RDMA transfer and any reclaim.
      */
-    Duration
-    prefetchHitOverhead() const
-    {
-        return contextSwitch + pageWalk + swapCacheQuery + pteEstablish;
-    }
-
-    /** First-touch (zero-fill) minor fault: same kernel path, no IO. */
-    Duration
-    coldFaultOverhead() const
-    {
-        return contextSwitch + pageWalk + swapCacheQuery + pteEstablish;
-    }
-
-    /**
-     * Fixed kernel overhead of a remote (major) fault excluding the
-     * RDMA transfer and any reclaim: steps 1+2+3+6.
-     */
-    Duration
-    remoteFaultOverhead() const
+    static constexpr Duration
+    faultOverhead()
     {
         return contextSwitch + pageWalk + swapCacheQuery + pteEstablish;
     }
 };
+
+static_assert(CostModel::faultOverhead() == 2'300,
+              "§II-A: the fixed fault path costs 2.3 us");
 
 } // namespace hopp::vm
 

@@ -15,9 +15,9 @@
  * Three properties the rest of the simulator leans on:
  *
  *  - Stable pointers: leaves are heap blocks that never move once
- *    allocated, so a PageInfo* stays valid until the record is erased
- *    (process teardown). This is what lets the software TLB (vm/tlb.hh)
- *    cache VPN -> PageInfo* across accesses.
+ *    allocated and records are never erased, so a PageInfo* stays
+ *    valid for the machine's lifetime. This is what lets the software
+ *    TLB (vm/tlb.hh) cache VPN -> PageInfo* across accesses.
  *  - Deterministic iteration: walking directories in pid order and
  *    leaves in vpn order visits records in ascending (pid, vpn) key
  *    order by construction — no sort step, no stdlib dependence.
@@ -89,7 +89,6 @@ class PageTable
         std::uint64_t slot = slotIndex(vpn);
         if (!leaf.test(slot)) {
             leaf.set(slot);
-            ++dir.live;
             ++size_;
         }
         return leaf.pages[slot];
@@ -158,49 +157,6 @@ class PageTable
     }
 
     /**
-     * All page keys belonging to @p pid, in ascending vpn order (so
-     * process teardown is deterministic).
-     */
-    std::vector<std::uint64_t>
-    keysOf(Pid pid) const
-    {
-        std::vector<std::uint64_t> keys;
-        std::uint16_t p = pid.raw(); // dense directory index. hopp-analyze: allow(raw)
-        if (p >= dirs_.size())
-            return keys;
-        const Directory &dir = dirs_[p];
-        keys.reserve(dir.live);
-        forEachInDir(dir, [&](Vpn vpn, const PageInfo &) {
-            keys.push_back(pageKey(pid, vpn));
-        });
-        return keys;
-    }
-
-    /** Drop the record for (pid, vpn), if any. */
-    void
-    erase(Pid pid, Vpn vpn)
-    {
-        std::uint16_t p = pid.raw(); // dense directory index. hopp-analyze: allow(raw)
-        if (p >= dirs_.size())
-            return;
-        Directory &dir = dirs_[p];
-        std::uint64_t di = dirIndex(vpn);
-        if (di >= dir.leaves.size() || !dir.leaves[di])
-            return;
-        Leaf &leaf = *dir.leaves[di];
-        std::uint64_t slot = slotIndex(vpn);
-        if (!leaf.test(slot))
-            return;
-        leaf.clear(slot);
-        // Reset in place: the slot may be re-created later and must
-        // come back in the default (Untouched) state. The leaf itself
-        // stays allocated — its siblings' addresses must not move.
-        leaf.pages[slot] = PageInfo{};
-        --dir.live;
-        --size_;
-    }
-
-    /**
      * Visit every record in any state: fn(key, const PageInfo&), in
      * ascending (pid, vpn) key order (deterministic by construction).
      */
@@ -209,13 +165,26 @@ class PageTable
     forEach(Fn &&fn) const
     {
         for (std::size_t p = 0; p < dirs_.size(); ++p) {
-            const Directory &dir = dirs_[p];
-            if (dir.live == 0)
-                continue;
             Pid pid{static_cast<std::uint64_t>(p)};
-            forEachInDir(dir, [&](Vpn vpn, const PageInfo &pi) {
-                fn(pageKey(pid, vpn), pi);
-            });
+            const Directory &dir = dirs_[p];
+            for (std::size_t di = 0; di < dir.leaves.size(); ++di) {
+                const Leaf *leaf = dir.leaves[di].get();
+                if (!leaf)
+                    continue;
+                for (std::uint64_t w = 0; w < leaf->used.size(); ++w) {
+                    std::uint64_t bits = leaf->used[w];
+                    while (bits) {
+                        auto b = static_cast<std::uint64_t>(
+                            __builtin_ctzll(bits));
+                        bits &= bits - 1;
+                        std::uint64_t slot = w * 64 + b;
+                        Vpn vpn{(static_cast<std::uint64_t>(di)
+                                 << leafShift) |
+                                slot};
+                        fn(pageKey(pid, vpn), leaf->pages[slot]);
+                    }
+                }
+            }
         }
     }
 
@@ -237,14 +206,12 @@ class PageTable
         }
 
         void set(std::uint64_t slot) { used[slot >> 6] |= 1ull << (slot & 63); }
-        void clear(std::uint64_t slot) { used[slot >> 6] &= ~(1ull << (slot & 63)); }
     };
 
     /** Level-one directory of one process. */
     struct Directory
     {
         std::vector<std::unique_ptr<Leaf>> leaves;
-        std::uint64_t live = 0; //!< records under this directory
     };
 
     static std::uint64_t
@@ -275,30 +242,6 @@ class PageTable
             // steady-state walk. hopp-analyze: allow(hotpath-alloc)
             dirs_.resize(p + 1);
         return dirs_[p];
-    }
-
-    /** Visit one directory's records in ascending vpn order. */
-    template <typename Fn>
-    static void
-    forEachInDir(const Directory &dir, Fn &&fn)
-    {
-        for (std::size_t di = 0; di < dir.leaves.size(); ++di) {
-            const Leaf *leaf = dir.leaves[di].get();
-            if (!leaf)
-                continue;
-            for (std::uint64_t w = 0; w < leaf->used.size(); ++w) {
-                std::uint64_t bits = leaf->used[w];
-                while (bits) {
-                    auto b = static_cast<std::uint64_t>(
-                        __builtin_ctzll(bits));
-                    bits &= bits - 1;
-                    std::uint64_t slot = w * 64 + b;
-                    fn(Vpn{(static_cast<std::uint64_t>(di) << leafShift) |
-                           slot},
-                       leaf->pages[slot]);
-                }
-            }
-        }
     }
 
     std::vector<Directory> dirs_; //!< indexed by pid

@@ -6,9 +6,9 @@
  *
  * Correctness contract: an entry may only be served while the page is
  * Resident. The TLB therefore participates in the existing PTE-hook
- * plumbing (vm/page_table.hh): every firePteClear — eviction, process
- * teardown, injected-prefetch revocation — shoots the cached entry
- * down, exactly like the IPI-driven TLB shootdowns the kernel issues
+ * plumbing (vm/page_table.hh): every firePteClear — eviction or
+ * injected-prefetch revocation — shoots the cached entry down,
+ * exactly like the IPI-driven TLB shootdowns the kernel issues
  * when it clears a PTE. Fills happen only from the access path, where
  * the page is known Resident; onPteSet is deliberately not a fill
  * (a PTE set by prefetch injection has not been touched by this

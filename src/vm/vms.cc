@@ -46,49 +46,6 @@ Vms::cgroup(Pid pid)
 }
 
 void
-Vms::destroyProcess(Pid pid, Tick now)
-{
-    Cgroup &cg = cgroup(pid);
-    for (std::uint64_t key : table_.keysOf(pid)) {
-        Vpn vpn = keyVpn(key);
-        PageInfo &pi = *table_.find(pid, vpn);
-        // Diagnostic formatting of pid/vpn. hopp-analyze: allow(raw)
-        hopp_assert(!pi.inflight,
-                    "destroying process %u with page %llu mid-fetch",
-                    pid.raw(), (unsigned long long)vpn.raw());
-        switch (pi.state) {
-          case PageState::Resident:
-            firePteClear(pid, vpn, pi.ppn, now);
-            llc_.invalidatePage(pi.ppn);
-            dram_.release(pi.ppn);
-            break;
-          case PageState::SwapCached:
-            llc_.invalidatePage(pi.ppn);
-            dram_.release(pi.ppn);
-            --swapCachedPages_;
-            break;
-          case PageState::Swapped:
-          case PageState::Untouched:
-            break;
-        }
-        if (pi.inLru)
-            cg.lruRemove(pi);
-        if (pi.charged) {
-            cg.uncharge();
-            pi.charged = false;
-        }
-        if (pi.slot != remote::noSlot)
-            backend_.release(pi.slot);
-        table_.erase(pid, vpn);
-    }
-    hopp_assert(cg.charged() == 0, "destroyed cgroup still charged");
-    // Dropping the cgroup also drops its kswapd latch; a reclaim pass
-    // already on the event queue finds no cgroup and returns.
-    std::erase_if(cgroups_,
-                  [pid](const Cgroup &c) { return c.pid() == pid; });
-}
-
-void
 Vms::markFlags(Pid pid, Vpn vpn, bool shared, bool huge)
 {
     PageInfo &pi = table_.get(pid, vpn);
@@ -181,7 +138,7 @@ Vms::evictOne(Cgroup &cg, Tick now, bool direct, Duration *cost)
         if (direct) {
             ++stats_.directReclaims;
             if (cost)
-                *cost += cfg_.cost.directReclaimPerPage;
+                *cost += CostModel::directReclaimPerPage;
         } else {
             ++stats_.kswapdReclaims;
         }
@@ -233,26 +190,20 @@ Vms::maybeKickKswapd(Pid pid, Tick now)
         return;
     Cgroup &cg = cgroup(pid);
     auto high = static_cast<std::uint64_t>(
-        static_cast<double>(cg.limit()) * cfg_.highWatermark);
+        static_cast<double>(cg.limit()) * highWatermark);
     if (cg.charged() < high || cg.kswapdActive())
         return;
     cg.setKswapdActive(true);
-    Tick when = std::max(now, eq_.now()) + cfg_.kswapdDelay;
+    Tick when = std::max(now, eq_.now()) + kswapdDelay;
     eq_.schedule(when, [this, pid] { kswapdRun(pid); });
 }
 
 void
 Vms::kswapdRun(Pid pid)
 {
-    Cgroup *found = findCgroup(pid);
-    if (!found) {
-        // The process exited between scheduling and dispatch; its
-        // reclaim state died with the cgroup.
-        return;
-    }
-    Cgroup &cg = *found;
+    Cgroup &cg = cgroup(pid);
     auto target = static_cast<std::uint64_t>(
-        static_cast<double>(cg.limit()) * cfg_.lowWatermark);
+        static_cast<double>(cg.limit()) * lowWatermark);
     if (trace_)
         trace_->begin("vm", "reclaim.kswapd", eq_.now(),
                       obs::track::kswapd);
@@ -268,7 +219,7 @@ Vms::kswapdRun(Pid pid)
                         stats_.kswapdReclaims);
     }
     if (cg.charged() > target && !cg.lruEmpty()) {
-        eq_.scheduleIn(cfg_.kswapdDelay, [this, pid] { kswapdRun(pid); });
+        eq_.scheduleIn(kswapdDelay, [this, pid] { kswapdRun(pid); });
     } else {
         cg.setKswapdActive(false);
     }
@@ -320,7 +271,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
       case PageState::Untouched: {
         // First touch: zero-fill minor fault. The fresh page has no
         // remote copy, so it is born dirty.
-        Duration cost = cfg_.cost.coldFaultOverhead();
+        Duration cost = CostModel::faultOverhead();
         Ppn ppn = obtainFrame(pid, true, now, &cost);
         mapPage(pid, vpn, pi, ppn, true, originDemand, false, now + cost);
         pi.dirty = true;
@@ -340,7 +291,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
       case PageState::SwapCached: {
         // Prefetch-hit: the page is in DRAM but the fault still costs
         // the 2.3 us kernel path (§II-A / §II-C).
-        Duration cost = cfg_.cost.prefetchHitOverhead();
+        Duration cost = CostModel::faultOverhead();
         bool was_prefetched = pi.prefetched;
         Origin origin = pi.origin;
         Tick ready_at = pi.fetchedAt;
@@ -390,7 +341,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
             // swapcache-hit path.
             Duration wait =
                 pi.completesAt > now ? pi.completesAt - now : 0;
-            Duration cost = wait + cfg_.cost.prefetchHitOverhead();
+            Duration cost = wait + CostModel::faultOverhead();
             Origin origin = pi.origin;
             Tick ready_at = pi.completesAt;
             pi.inflight = false; // completion handler will drop it
@@ -427,12 +378,12 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
         }
 
         // Full remote fault: kernel path + RDMA + PTE establish.
-        Duration cost = cfg_.cost.contextSwitch + cfg_.cost.pageWalk +
-                        cfg_.cost.swapCacheQuery;
+        Duration cost = CostModel::contextSwitch + CostModel::pageWalk +
+                        CostModel::swapCacheQuery;
         Ppn ppn = obtainFrame(pid, true, now, &cost);
         Duration kernel = cost; // §II-A steps 1-3 + direct reclaim
         Tick completion = backend_.demandRead(now + cost);
-        cost = (completion - now) + cfg_.cost.pteEstablish;
+        cost = (completion - now) + CostModel::pteEstablish;
         mapPage(pid, vpn, pi, ppn, true, originDemand, false, now + cost);
         pi.hasSwapCopy = true;
         pi.dirty = false;
@@ -449,7 +400,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
             trace_->complete("vm", "remote.rdma", now + kernel,
                              completion - (now + kernel), tid);
             trace_->complete("vm", "remote.pte", completion,
-                             cfg_.cost.pteEstablish, tid);
+                             CostModel::pteEstablish, tid);
         }
         for (auto *l : listeners_) {
             l->onDemandRemote(pid, vpn, now);

@@ -37,24 +37,14 @@ class Access; // invariant-checker introspection (src/check)
 namespace hopp::vm
 {
 
-/** VMS behaviour knobs. */
+/**
+ * VMS behaviour knobs. Fault costs are the §II-A constants of
+ * vm::CostModel; the kswapd watermarks and delay are Vms constants.
+ */
 struct VmsConfig
 {
-    /** Swap-path latency model (§II-A). */
-    CostModel cost;
-
     /** Run kswapd-style background reclaim ahead of demand. */
     bool kswapdEnabled = true;
-
-    /**
-     * Background reclaim starts when charged frames exceed
-     * limit * highWatermark and stops below limit * lowWatermark.
-     */
-    double highWatermark = 0.98;
-    double lowWatermark = 0.94;
-
-    /** Dispatch delay of a background reclaim pass. */
-    Duration kswapdDelay = 10'000; // 10 us
 
     /**
      * Evictions one background reclaim pass attempts before it
@@ -100,22 +90,26 @@ struct VmsStats
 class Vms
 {
   public:
+    /**
+     * Background reclaim starts when charged frames exceed
+     * limit * highWatermark and stops below limit * lowWatermark.
+     */
+    static constexpr double highWatermark = 0.98;
+    static constexpr double lowWatermark = 0.94;
+
+    /** Dispatch delay of a background reclaim pass. */
+    static constexpr Duration kswapdDelay = 10'000; // 10 us
+
     Vms(sim::EventQueue &eq, mem::Dram &dram, mem::MemCtrl &mc,
         mem::Llc &llc, remote::SwapBackend &backend,
         const VmsConfig &cfg = {});
 
-    /** Register a process with a cgroup limit in frames. */
-    void createProcess(Pid pid, std::uint64_t limit_frames);
-
     /**
-     * Tear a process down: unmap and release every local frame, free
-     * its swap slots and page records, and drop the cgroup (with its
-     * kswapd latch — so long colocation runs that churn processes
-     * retain no per-pid bookkeeping). Requires no in-flight prefetches
-     * for the process; a kswapd pass still scheduled when the cgroup
-     * disappears becomes a no-op.
+     * Register a process with a cgroup limit in frames. A process
+     * lives as long as the machine: its cgroup, page records and swap
+     * slots are never torn down.
      */
-    void destroyProcess(Pid pid, Tick now);
+    void createProcess(Pid pid, std::uint64_t limit_frames);
 
     /**
      * One application memory access (the whole data path: translate,
@@ -278,17 +272,8 @@ class Vms
     /** Cgroup of a process. */
     Cgroup &cgroup(Pid pid);
 
-    /** Cgroup of a process, or nullptr after teardown. */
-    Cgroup *findCgroup(Pid pid);
-
-    /** Number of live processes. */
-    std::size_t processCount() const { return cgroups_.size(); }
-
     /** Event counters. */
     const VmsStats &stats() const { return stats_; }
-
-    /** Configuration in effect. */
-    const VmsConfig &config() const { return cfg_; }
 
     /**
      * Mark a page's RPT flags (shared / huge). Test and example helper
@@ -298,6 +283,9 @@ class Vms
 
   private:
     friend class hopp::check::Access;
+
+    /** Cgroup of a process, or nullptr before createProcess(). */
+    Cgroup *findCgroup(Pid pid);
 
     /**
      * Count one application access. The single stats_.accesses site:
@@ -340,7 +328,7 @@ class Vms
             ++stats_.llcHits;
             if (trace_ && stats_.llcHits % llcTraceSample == 0)
                 traceLlcCounters(now);
-            return cfg_.cost.llcHit;
+            return CostModel::llcHit;
         }
         ++stats_.llcMisses;
         if (trace_ && stats_.llcMisses % llcTraceSample == 0)
@@ -348,7 +336,7 @@ class Vms
         // A write miss performs read-for-ownership first, so the MC
         // sees a READ either way (§III-B).
         mc_.demandRead(lineBase(pa), now);
-        return cfg_.cost.dramHit;
+        return CostModel::dramHit;
     }
 
     /** Sampling cadence of the LLC trace counters (every Nth event). */

@@ -304,11 +304,9 @@ class QuicksortGen : public AccessGenerator
         std::uint64_t pages = 256;
         std::uint64_t cutoffPages = 8; //!< switch to sequential below
         unsigned linesPerPage = 64;
-        std::uint64_t seed = 1;
     };
 
-    explicit QuicksortGen(const Params &p)
-        : p_(p), rng_(p.seed), stack_{{0, p.pages}}
+    explicit QuicksortGen(const Params &p) : p_(p), stack_{{0, p.pages}}
     {
     }
 
@@ -323,7 +321,6 @@ class QuicksortGen : public AccessGenerator
     };
 
     Params p_;
-    Pcg32 rng_;
     std::vector<Range> stack_;
     // Partition state
     bool partitioning_ = false;

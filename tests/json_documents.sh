@@ -5,7 +5,10 @@
 # escaped: hopp-report parses both documents. A document with non-JSON
 # numbers (hex, `+1`, `.5`, `1.`, `007`, `infinity`, `-nan`) is a parse
 # error that hopp-report (exit 2) and hopp_trace (exit 1) report on one
-# stderr line naming the file.
+# stderr line naming the file. A metrics CSV is held to the same bar:
+# a cell that is not a number as a whole (`abc`, `5x`) or a row whose
+# cell count differs from the header's makes hopp-report exit 2 with
+# one stderr line naming the file and the line.
 #
 # usage: sh tests/json_documents.sh HOPP_RUN HOPP_SWEEP HOPP_REPLAY \
 #            HOPP_REPORT HOPP_TRACE
@@ -62,5 +65,21 @@ for doc in "$tmp/numbers.json" "$tmp/text.json"; do
                 "and the offset, got: $err"
         fi
     done
+done
+printf 'tick_ns,a\n0,abc\n100,5x\n' > "$tmp/word.csv"
+printf 'tick_ns,a\n0,1\n100,5x\n' > "$tmp/suffix.csv"
+printf 'tick_ns,a\n0,1\n100\n' > "$tmp/short.csv"
+for spec in word.csv:2 suffix.csv:3 short.csv:3; do
+    csv="$tmp/${spec%:*}"
+    line=${spec#*:}
+    err=$("$report" --metrics "$csv" 2>&1 >/dev/null)
+    status=$?
+    if [ "$status" -ne 2 ]; then
+        bad "hopp-report --metrics $csv: exited $status, want 2"
+    elif [ "$(printf '%s\n' "$err" | wc -l)" -ne 1 ] ||
+         ! printf '%s' "$err" | grep -qF "$csv: line $line"; then
+        bad "hopp-report --metrics $csv: want one stderr line naming" \
+            "the file and line $line, got: $err"
+    fi
 done
 exit $fail

@@ -239,7 +239,6 @@ TEST(GeneratorBatch, Quicksort)
         p.pages = 96;
         p.cutoffPages = 6;
         p.linesPerPage = 4;
-        p.seed = 31;
         return std::make_unique<QuicksortGen>(p);
     });
 }

@@ -223,7 +223,7 @@ TEST_F(HoppSystemTest, AdvisorPruneAgesOutStaleEntries)
     Tick t = rig.streamPages(Vpn{0}, Vpn{15}, Tick{});
     std::uint64_t live_phase1 = warm->warmEntriesLive();
     ASSERT_GT(live_phase1, 0u);
-    t = t + hcfg.warmWindow + Duration{1'000'000};
+    t = t + HotPagePipeline::warmWindow + Duration{1'000'000};
     // Phase 2 inserts enough fresh entries to re-trigger the prune.
     rig.streamPages(Vpn{200}, Vpn{239}, t);
     rig.eq->run();

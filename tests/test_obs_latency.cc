@@ -53,9 +53,8 @@ TEST(FaultLatency, DramHitCostsExactlyTheDramHitCharge)
     LatencyRun r(SystemKind::Hopp, 0.5, 0.3);
     const stats::Histogram &h = r.of(LatencyClass::DramHit);
     ASSERT_GT(h.count(), 0u);
-    vm::CostModel cost;
-    EXPECT_EQ(h.percentile(0.50), cost.dramHit);
-    EXPECT_EQ(h.percentile(0.99), cost.dramHit);
+    EXPECT_EQ(h.percentile(0.50), vm::CostModel::dramHit);
+    EXPECT_EQ(h.percentile(0.99), vm::CostModel::dramHit);
 }
 
 TEST(FaultLatency, PrefetchHitIsTheKernelSwapcachePath)
@@ -65,8 +64,7 @@ TEST(FaultLatency, PrefetchHitIsTheKernelSwapcachePath)
     LatencyRun r(SystemKind::Fastswap, 0.5, 0.3);
     const stats::Histogram &h = r.of(LatencyClass::PrefetchHit);
     ASSERT_GT(h.count(), 0u);
-    vm::CostModel cost;
-    EXPECT_EQ(h.min(), cost.prefetchHitOverhead());
+    EXPECT_EQ(h.min(), vm::CostModel::faultOverhead());
 }
 
 TEST(FaultLatency, RemoteFaultP50MatchesPaperWindow)
@@ -110,8 +108,7 @@ TEST(FaultLatency, RemoteTransferIsRemoteFaultMinusKernelSteps)
     const stats::Histogram &xfer = r.of(LatencyClass::RemoteTransfer);
     ASSERT_GT(fault.count(), 0u);
     ASSERT_EQ(xfer.count(), fault.count());
-    vm::CostModel cost;
-    EXPECT_EQ(xfer.min() + cost.remoteFaultOverhead(), fault.min());
+    EXPECT_EQ(xfer.min() + vm::CostModel::faultOverhead(), fault.min());
 }
 
 TEST(FaultLatency, DumpStatsReportsEveryNonEmptyClass)

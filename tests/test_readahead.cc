@@ -91,8 +91,9 @@ TEST(ReadaheadWindow, RecoversOnHighHitRate)
 TEST(ReadaheadWindow, MiddlingHitRateHoldsSteady)
 {
     RaRig rig;
-    ReadaheadConfig cfg; // grow > 0.5, shrink < 0.25
-    Readahead ra(rig.vms, rig.backend, cfg);
+    Readahead ra(rig.vms, rig.backend);
+    static_assert(Readahead::shrinkThreshold < 0.4 &&
+                  0.4 < Readahead::growThreshold);
     epoch(ra, 100, 40); // between the thresholds
     EXPECT_EQ(ra.window(), 8u);
 }

@@ -6,11 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <iterator>
-#include <map>
 #include <vector>
 
-#include "common/random.hh"
 #include "remote/remote_node.hh"
 #include "remote/swap_backend.hh"
 
@@ -26,28 +23,12 @@ TEST(RemoteNode, AllocatesAscendingSlots)
     EXPECT_EQ(node.liveSlots(), 3u);
 }
 
-TEST(RemoteNode, RecyclesFreedSlots)
-{
-    RemoteNode node(100);
-    node.allocate();
-    SwapSlot s1 = node.allocate();
-    node.release(s1);
-    EXPECT_EQ(node.allocate(), s1);
-    EXPECT_EQ(node.liveSlots(), 2u);
-}
-
 TEST(RemoteNodeDeath, OverflowPanics)
 {
     RemoteNode node(2);
     node.allocate();
     node.allocate();
     EXPECT_DEATH(node.allocate(), "full");
-}
-
-TEST(RemoteNodeDeath, BogusReleasePanics)
-{
-    RemoteNode node(10);
-    EXPECT_DEATH(node.release(5), "never-allocated");
 }
 
 namespace
@@ -83,8 +64,7 @@ TEST_F(BackendFixture, AllocateRecordsOwner)
     ASSERT_TRUE(owner.has_value());
     EXPECT_EQ(owner->pid, Pid{3});
     EXPECT_EQ(owner->vpn, Vpn{0x100});
-    backend.release(s);
-    EXPECT_FALSE(backend.owner(s).has_value());
+    EXPECT_FALSE(backend.owner(s + 1).has_value()) << "not handed out";
 }
 
 TEST_F(BackendFixture, NeighborsReturnAdjacentSlotOwners)
@@ -107,84 +87,11 @@ TEST_F(BackendFixture, NeighborsClampAtSlotZero)
     auto around = neighbors(backend, 0, 4, 1);
     ASSERT_EQ(around.size(), 1u);
     EXPECT_EQ(around[0].vpn, Vpn{11});
-}
-
-TEST_F(BackendFixture, NeighborsSkipFreedSlots)
-{
-    for (std::uint64_t v = 10; v <= 14; ++v)
-        backend.allocate(Pid{1}, Vpn{v});
-    backend.release(1);
-    auto around = neighbors(backend, 2, 2, 0);
+    // A window reaching past the last allocated slot clamps there too,
+    // even one centred on a slot not handed out yet.
+    around = neighbors(backend, 3, 2, 4);
     ASSERT_EQ(around.size(), 1u);
-    EXPECT_EQ(around[0].vpn, Vpn{10});
-}
-
-TEST_F(BackendFixture, SlotOwnersMatchMapReferenceUnderChurn)
-{
-    // Seeded allocate/release churn against a std::map model. Freed
-    // slots go to new pages (vpns are never reused), so a stale owner
-    // left behind by a release would show up here.
-    RemoteNode small(96);
-    SwapBackend b(fabric, small);
-    std::map<SwapSlot, SlotOwner> model;
-    Pcg32 rng(20261019);
-    std::uint64_t next_vpn = 1000;
-    const std::uint64_t windows[][2] = {{0, 0}, {1, 1}, {4, 4},
-                                        {0, 8}, {8, 0}, {3, 5}};
-    for (int step = 0; step < 3000; ++step) {
-        // Alternate filling and draining phases, so the node runs
-        // full, empty and in between, and recycles freed slots.
-        const std::uint32_t grow_in_4 = (step / 500) % 2 == 0 ? 3 : 1;
-        bool grow = model.empty() || (model.size() < small.capacity() &&
-                                      rng.below(4) < grow_in_4);
-        if (grow) {
-            Pid pid{1 + rng.below(4)};
-            Vpn vpn{next_vpn++};
-            SwapSlot s = b.allocate(pid, vpn);
-            ASSERT_EQ(model.count(s), 0u)
-                << "slot " << s << " handed out while live";
-            model[s] = SlotOwner{pid, vpn};
-        } else {
-            const std::uint32_t victim =
-                rng.below(static_cast<std::uint32_t>(model.size()));
-            auto it = std::next(model.begin(), victim);
-            b.release(it->first);
-            model.erase(it);
-        }
-
-        ASSERT_EQ(b.liveMappings(), model.size()) << "step " << step;
-        const SwapSlot high = small.highWater();
-        for (SwapSlot s = 0; s < high + 4; ++s) {
-            auto want = model.find(s);
-            auto got = b.owner(s);
-            ASSERT_EQ(got.has_value(), want != model.end())
-                << "step " << step << " slot " << s;
-            if (got) {
-                EXPECT_EQ(got->pid, want->second.pid);
-                EXPECT_EQ(got->vpn, want->second.vpn);
-            }
-            // Windows centred on every slot, from 0 (clamped below)
-            // to past the high-water mark (clamped above).
-            for (const auto &w : windows) {
-                std::vector<SlotOwner> ref;
-                SwapSlot lo = s >= w[0] ? s - w[0] : 0;
-                for (auto m = model.lower_bound(lo);
-                     m != model.end() && m->first <= s + w[1]; ++m) {
-                    if (m->first != s)
-                        ref.push_back(m->second);
-                }
-                std::vector<SlotOwner> seen = neighbors(b, s, w[0], w[1]);
-                ASSERT_EQ(seen.size(), ref.size())
-                    << "step " << step << " slot " << s << " window -"
-                    << w[0] << "/+" << w[1];
-                for (std::size_t i = 0; i < ref.size(); ++i) {
-                    EXPECT_EQ(seen[i].pid, ref[i].pid);
-                    EXPECT_EQ(seen[i].vpn, ref[i].vpn);
-                }
-            }
-        }
-    }
-    EXPECT_GT(small.highWater(), 48u) << "the churn never grew the table";
+    EXPECT_EQ(around[0].vpn, Vpn{11});
 }
 
 TEST_F(BackendFixture, CountsDemandAndPrefetchReadsSeparately)

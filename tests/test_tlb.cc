@@ -2,7 +2,7 @@
  * @file
  * Software TLB tests: direct-mapped cache mechanics, shootdown through
  * the PTE-hook plumbing on every Resident -> non-Resident transition
- * (eviction, process teardown, injection-driven reclaim), and the
+ * (eviction, injection-driven reclaim), and the
  * accelerator contract — simulation results are bit-identical with the
  * TLB on or off.
  */
@@ -135,10 +135,9 @@ class TlbVmsTest : public ::testing::Test
 
 TEST_F(TlbVmsTest, SecondAccessHitsTlbAtIdenticalCost)
 {
-    CostModel cm;
     touch(Vpn{5}); // cold fault fills the TLB
     EXPECT_EQ(tlb.get()->hits(), 0u);
-    EXPECT_EQ(touch(Vpn{5}), cm.llcHit);
+    EXPECT_EQ(touch(Vpn{5}), CostModel::llcHit);
     EXPECT_EQ(tlb.get()->hits(), 1u);
     EXPECT_EQ(vms->stats().accesses, 2u);
     EXPECT_EQ(vms->stats().llcHits, 1u);
@@ -157,18 +156,6 @@ TEST_F(TlbVmsTest, EvictionShootsDownTheCachedEntry)
     t += touch(Vpn{0}, t);
     EXPECT_EQ(vms->stats().remoteFaults, remote_before + 1);
     EXPECT_TRUE(vms->pageTable().present(pid, Vpn{0}));
-}
-
-TEST_F(TlbVmsTest, TeardownShootsDownEveryProcessEntry)
-{
-    Tick t = fill(6);
-    EXPECT_EQ(tlb.get()->shootdowns(), 0u);
-    vms->destroyProcess(pid, t);
-    // All six resident pages had cached translations; each PTE clear
-    // must have reached the TLB.
-    EXPECT_EQ(tlb.get()->shootdowns(), 6u);
-    for (std::uint64_t v = 0; v < 6; ++v)
-        EXPECT_EQ(tlb.get()->lookup(pid, Vpn{v}), nullptr);
 }
 
 TEST_F(TlbVmsTest, InjectionDrivenEvictionInvalidates)

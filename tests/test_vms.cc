@@ -144,22 +144,20 @@ class VmsTest : public ::testing::Test
 
 TEST_F(VmsTest, ColdFaultCostsKernelPathPlusDramMiss)
 {
-    CostModel cm;
     Duration cost = touch(Vpn{5});
-    EXPECT_EQ(cost, cm.coldFaultOverhead() + cm.dramHit);
+    EXPECT_EQ(cost, CostModel::faultOverhead() + CostModel::dramHit);
     EXPECT_EQ(vms->stats().coldFaults, 1u);
     EXPECT_TRUE(vms->pageTable().present(pid, Vpn{5}));
 }
 
 TEST_F(VmsTest, ResidentLineHitCostsLlcHit)
 {
-    CostModel cm;
     touch(Vpn{5});
-    EXPECT_EQ(touch(Vpn{5}), cm.llcHit);
+    EXPECT_EQ(touch(Vpn{5}), CostModel::llcHit);
     // A different line of the same page misses LLC but not the page.
     EXPECT_EQ(vms->access(pid, pageBase(Vpn{5}) + lineBytes, false,
                           Tick{}),
-              cm.dramHit);
+              CostModel::dramHit);
     EXPECT_EQ(vms->stats().faults(), 1u);
 }
 
@@ -203,7 +201,6 @@ TEST_F(VmsTest, CleanRefetchedPageEvictsWithoutWriteback)
 
 TEST_F(VmsTest, RemoteFaultPaysRdmaLatency)
 {
-    CostModel cm;
     fill(9); // page 0 evicted
     Duration cost = touch(Vpn{0}, Tick{1'000'000});
     // Kernel path (2.3 us) + ~4 us RDMA + DRAM access; no reclaim
@@ -213,12 +210,10 @@ TEST_F(VmsTest, RemoteFaultPaysRdmaLatency)
     EXPECT_LT(cost, 14'000u);
     EXPECT_EQ(vms->stats().remoteFaults, 1u);
     EXPECT_EQ(rec.demandRemotes.size(), 1u);
-    (void)cm;
 }
 
 TEST_F(VmsTest, SwapCachePrefetchHitCostsPrefetchHitOverhead)
 {
-    CostModel cm;
     Tick t = fill(9); // page 0 swapped out
     ASSERT_TRUE(vms->prefetchToSwapCache(pid, Vpn{0}, 2, t));
     eq->run(); // completion lands in swapcache
@@ -227,9 +222,9 @@ TEST_F(VmsTest, SwapCachePrefetchHitCostsPrefetchHitOverhead)
     Duration cost = touch(Vpn{0}, when);
     // Prefetch-hit: 2.3 us + one direct reclaim (charging page 0 pushes
     // the cgroup over its limit) + DRAM access.
-    EXPECT_GE(cost, cm.prefetchHitOverhead() + cm.dramHit);
-    EXPECT_LE(cost, cm.prefetchHitOverhead() + cm.dramHit +
-                        cm.directReclaimPerPage);
+    EXPECT_GE(cost, CostModel::faultOverhead() + CostModel::dramHit);
+    EXPECT_LE(cost, CostModel::faultOverhead() + CostModel::dramHit +
+                        CostModel::directReclaimPerPage);
     EXPECT_EQ(vms->stats().swapCacheHits, 1u);
     ASSERT_EQ(rec.hits.size(), 1u);
     EXPECT_EQ(rec.hits[0].vpn, Vpn{0});
@@ -239,7 +234,6 @@ TEST_F(VmsTest, SwapCachePrefetchHitCostsPrefetchHitOverhead)
 
 TEST_F(VmsTest, InjectedPageFirstTouchIsDramHit)
 {
-    CostModel cm;
     Tick t = fill(9); // page 0 swapped out; cgroup full at 8
     ASSERT_EQ(vms->prefetchInject(pid, Vpn{0}, 3, t),
               Vms::InjectResult::Issued);
@@ -247,7 +241,7 @@ TEST_F(VmsTest, InjectedPageFirstTouchIsDramHit)
     // Injection evicted one LRU page (no app cost) and mapped page 0.
     EXPECT_TRUE(vms->pageTable().present(pid, Vpn{0}));
     Duration cost = touch(Vpn{0}, eq->now() + 1000);
-    EXPECT_EQ(cost, cm.dramHit); // no fault at all
+    EXPECT_EQ(cost, CostModel::dramHit); // no fault at all
     EXPECT_EQ(vms->stats().injectedHits, 1u);
     ASSERT_EQ(rec.hits.size(), 1u);
     EXPECT_TRUE(rec.hits[0].dramHit);
@@ -300,8 +294,7 @@ TEST_F(VmsTest, FaultOnInflightPrefetchWaitsAndCountsHit)
     ASSERT_TRUE(vms->prefetchToSwapCache(pid, Vpn{0}, 2, t));
     // Fault immediately, long before the ~4 us completion.
     Duration cost = touch(Vpn{0}, t);
-    CostModel cm;
-    EXPECT_GT(cost, cm.prefetchHitOverhead()); // waited for the wire
+    EXPECT_GT(cost, CostModel::faultOverhead()); // waited for the wire
     EXPECT_EQ(vms->stats().inflightWaits, 1u);
     ASSERT_EQ(rec.hits.size(), 1u);
     EXPECT_FALSE(rec.hits[0].dramHit);
@@ -376,7 +369,7 @@ TEST_F(VmsTest, KswapdReclaimsInBackgroundWithoutAppCost)
     eq->runUntil(t + 1'000'000);
     EXPECT_GT(vms->stats().kswapdReclaims, 0u);
     EXPECT_EQ(vms->stats().directReclaims, 0u);
-    auto low = static_cast<std::uint64_t>(64 * vms->config().lowWatermark);
+    auto low = static_cast<std::uint64_t>(64 * Vms::lowWatermark);
     EXPECT_LE(vms->cgroup(pid).charged(), low + 1);
 }
 
@@ -395,7 +388,7 @@ TEST_F(VmsTest, TinyKswapdBatchStillConvergesToLowWatermark)
     EXPECT_GT(vms->stats().kswapdReclaims, 0u);
     EXPECT_EQ(vms->stats().directReclaims, 0u);
     auto low =
-        static_cast<std::uint64_t>(64 * vms->config().lowWatermark);
+        static_cast<std::uint64_t>(64 * Vms::lowWatermark);
     EXPECT_LE(vms->cgroup(pid).charged(), low + 1);
 }
 

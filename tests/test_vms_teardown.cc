@@ -1,21 +1,17 @@
 /**
  * @file
- * Process-teardown and kswapd-bookkeeping regression tests.
+ * kswapd-bookkeeping regression test.
  *
  * The original kswapd latch lived in a VMS-side `unordered_map<Pid,
  * bool>` populated by operator[] on every watermark check and never
- * erased — unbounded growth across process churn in long colocation
- * runs. The latch now lives inside the Cgroup itself, so it is bounded
- * by the number of *live* processes structurally; these tests pin that
- * down, plus the destroyProcess teardown path (frames, swap slots,
- * page records, LRU, charges, PTE hooks) and the benign dispatch of a
- * kswapd pass whose process exited while the event was in flight.
+ * erased. The latch now lives inside the Cgroup itself; this test pins
+ * down that it clears once background reclaim reaches the low
+ * watermark and arms again on the next climb past the high one.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <vector>
 
 #include "vm/vms.hh"
 
@@ -25,45 +21,20 @@ using namespace hopp::vm;
 namespace
 {
 
-struct ClearRecorder : PteHook
-{
-    std::vector<std::pair<Vpn, Ppn>> sets;
-    std::vector<std::pair<Vpn, Ppn>> clears;
-
-    void
-    onPteSet(Pid, Vpn vpn, Ppn ppn, bool, bool, Tick) override
-    {
-        sets.emplace_back(vpn, ppn);
-    }
-
-    void
-    onPteClear(Pid, Vpn vpn, Ppn ppn, Tick) override
-    {
-        clears.emplace_back(vpn, ppn);
-    }
-};
-
 class VmsTeardownTest : public ::testing::Test
 {
   protected:
-    VmsTeardownTest() { rebuild(/*dram_frames=*/256, /*kswapd=*/true); }
-
-    void
-    rebuild(std::uint64_t dram_frames, bool kswapd)
+    VmsTeardownTest()
     {
-        VmsConfig cfg;
-        cfg.kswapdEnabled = kswapd;
         eq = std::make_unique<sim::EventQueue>();
-        dram = std::make_unique<mem::Dram>(dram_frames);
+        dram = std::make_unique<mem::Dram>(256);
         mc = std::make_unique<mem::MemCtrl>(*dram);
         llc = std::make_unique<mem::Llc>(mem::LlcConfig{64 << 10, 8});
         fabric =
             std::make_unique<net::RdmaFabric>(*eq, net::LinkConfig{});
         node = std::make_unique<remote::RemoteNode>(1 << 20);
         backend = std::make_unique<remote::SwapBackend>(*fabric, *node);
-        vms = std::make_unique<Vms>(*eq, *dram, *mc, *llc, *backend,
-                                    cfg);
-        vms->addPteHook(&hook);
+        vms = std::make_unique<Vms>(*eq, *dram, *mc, *llc, *backend);
     }
 
     /** Fill pages [0, n) of pid, advancing local time. */
@@ -75,7 +46,6 @@ class VmsTeardownTest : public ::testing::Test
         return t;
     }
 
-    ClearRecorder hook;
     std::unique_ptr<sim::EventQueue> eq;
     std::unique_ptr<mem::Dram> dram;
     std::unique_ptr<mem::MemCtrl> mc;
@@ -85,68 +55,6 @@ class VmsTeardownTest : public ::testing::Test
     std::unique_ptr<remote::SwapBackend> backend;
     std::unique_ptr<Vms> vms;
 };
-
-TEST_F(VmsTeardownTest, DestroyReleasesFramesSlotsAndRecords)
-{
-    Pid pid{1};
-    vms->createProcess(pid, 16);
-    // Overcommit so some pages swap out (allocating remote slots) and
-    // the survivors stay resident.
-    Tick t = fill(pid, 24);
-    eq->runUntil(t + Duration{1'000'000});
-
-    ASSERT_GT(dram->usedFrames(), 0u);
-    ASSERT_GT(backend->liveMappings(), 0u);
-    ASSERT_GT(vms->pageTable().size(), 0u);
-
-    std::size_t resident_before =
-        vms->pageTable().countState(PageState::Resident);
-    vms->destroyProcess(pid, eq->now());
-
-    EXPECT_EQ(dram->usedFrames(), 0u);
-    EXPECT_EQ(backend->liveMappings(), 0u);
-    EXPECT_EQ(vms->pageTable().size(), 0u);
-    EXPECT_EQ(vms->processCount(), 0u);
-    EXPECT_EQ(vms->findCgroup(pid), nullptr);
-    // Every resident page's PTE was cleared on the way out (the RPT
-    // shootdown HoPP relies on).
-    EXPECT_EQ(hook.clears.size(),
-              resident_before + vms->stats().evictions);
-}
-
-TEST_F(VmsTeardownTest, ProcessChurnLeavesNoPerPidResidue)
-{
-    // 40 create/run/destroy cycles: bookkeeping must track *live*
-    // processes (here: at most one), not every pid ever seen.
-    for (std::uint16_t i = 1; i <= 40; ++i) {
-        Pid pid{i};
-        vms->createProcess(pid, 8);
-        Tick t = fill(pid, 12);
-        eq->runUntil(t + Duration{1'000'000});
-        vms->destroyProcess(pid, eq->now());
-        EXPECT_EQ(vms->processCount(), 0u);
-        EXPECT_EQ(vms->pageTable().size(), 0u);
-        EXPECT_EQ(dram->usedFrames(), 0u);
-        EXPECT_EQ(backend->liveMappings(), 0u);
-    }
-}
-
-TEST_F(VmsTeardownTest, KswapdEventAfterDestroyIsBenign)
-{
-    Pid pid{1};
-    vms->createProcess(pid, 8);
-    // Push the cgroup over the high watermark so a kswapd pass gets
-    // scheduled, then destroy the process before it dispatches.
-    Tick t = fill(pid, 8);
-    ASSERT_TRUE(vms->cgroup(pid).kswapdActive());
-    ASSERT_GT(eq->size(), 0u);
-    vms->destroyProcess(pid, t);
-    // The pending pass dispatches against a dead pid: must be a no-op,
-    // not a crash or an assert.
-    eq->run();
-    EXPECT_EQ(vms->stats().kswapdReclaims, 0u);
-    EXPECT_EQ(vms->processCount(), 0u);
-}
 
 TEST_F(VmsTeardownTest, KswapdLatchClearsAndRearms)
 {
@@ -163,26 +71,6 @@ TEST_F(VmsTeardownTest, KswapdLatchClearsAndRearms)
     EXPECT_TRUE(vms->cgroup(pid).kswapdActive());
     eq->runUntil(t + Duration{100'000'000});
     EXPECT_FALSE(vms->cgroup(pid).kswapdActive());
-}
-
-TEST_F(VmsTeardownTest, DestroyWithColocatedSurvivorKeepsItIntact)
-{
-    Pid a{1}, b{2};
-    vms->createProcess(a, 16);
-    vms->createProcess(b, 16);
-    Tick t = fill(a, 12);
-    Tick t2 = fill(b, 12, t);
-    eq->runUntil(t2 + Duration{1'000'000});
-
-    std::uint64_t b_charged = vms->cgroup(b).charged();
-    ASSERT_GT(b_charged, 0u);
-    vms->destroyProcess(a, eq->now());
-
-    EXPECT_EQ(vms->processCount(), 1u);
-    EXPECT_EQ(vms->cgroup(b).charged(), b_charged);
-    // Survivor's pages are all still translatable.
-    for (std::uint64_t v = 0; v < 12; ++v)
-        EXPECT_NE(vms->pageTable().find(b, Vpn{v}), nullptr);
 }
 
 } // namespace

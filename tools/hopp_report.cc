@@ -9,17 +9,25 @@
  *   --stats FILE     hopp-run --stats-json output
  *   --metrics FILE   hopp-run --metrics-out CSV
  *
+ * A file that cannot be read, a --stats document that is not JSON, and
+ * a --metrics row whose cell count differs from the header's or with a
+ * cell that is not a number as a whole each get one stderr line naming
+ * the file, and exit 2.
+ *
  * The markdown goes to stdout, or to --out FILE.md. Host speed is not
  * measured here: perfbench/ is the one benchmark.
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "cli/flags.hh"
 #include "obs/json.hh"
+#include "obs/trace_writer.hh"
 
 namespace json = hopp::obs::json;
 
@@ -35,42 +43,21 @@ usage(const char *argv0)
         argv0);
 }
 
+/** obs::readFile, with the tool's one stderr line when it fails. */
 bool
-readFile(const std::string &path, std::string &out)
+readText(const std::string &path, std::string &out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        std::fprintf(stderr, "hopp-report: cannot open '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return true;
-}
-
-bool
-writeFile(const std::string &path, const std::string &content)
-{
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr, "hopp-report: cannot write '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    std::size_t n = std::fwrite(content.data(), 1, content.size(), f);
-    std::fclose(f);
-    return n == content.size();
+    if (hopp::obs::readFile(path, out))
+        return true;
+    std::fprintf(stderr, "hopp-report: cannot open '%s'\n", path.c_str());
+    return false;
 }
 
 bool
 loadJson(const std::string &path, json::Value &out)
 {
     std::string text;
-    if (!readFile(path, text))
+    if (!readText(path, text))
         return false;
     std::string err;
     if (!json::parse(text, out, &err)) {
@@ -136,40 +123,69 @@ struct ColumnSummary
     std::size_t samples = 0;
 };
 
-bool
-summarizeCsv(const std::string &text, std::vector<ColumnSummary> &out)
+/** The comma-separated cells of one CSV line. */
+std::vector<std::string>
+splitCells(const std::string &line)
 {
-    std::vector<std::string> lines;
+    std::vector<std::string> cells;
+    std::size_t pos = 0;
+    for (;;) {
+        std::size_t c = line.find(',', pos);
+        cells.push_back(line.substr(pos, c == std::string::npos
+                                             ? std::string::npos
+                                             : c - pos));
+        if (c == std::string::npos)
+            return cells;
+        pos = c + 1;
+    }
+}
+
+/**
+ * Summarize a --metrics-out CSV into one entry per header column.
+ * Every data row must have the header's cell count, and every cell
+ * must be a number as a whole (cli::parseReal); otherwise print one
+ * stderr line naming @p path and the line, and return false.
+ */
+bool
+summarizeCsv(const std::string &path, const std::string &text,
+             std::vector<ColumnSummary> &out)
+{
+    std::size_t line_no = 0;
     std::size_t start = 0;
     while (start < text.size()) {
         std::size_t end = text.find('\n', start);
         if (end == std::string::npos)
             end = text.size();
-        if (end > start)
-            lines.push_back(text.substr(start, end - start));
+        ++line_no;
+        const std::string line = text.substr(start, end - start);
         start = end + 1;
-    }
-    if (lines.empty())
-        return false;
-    // Header row names the columns.
-    std::size_t col_start = 0;
-    const std::string &hdr = lines.front();
-    while (col_start <= hdr.size()) {
-        std::size_t c = hdr.find(',', col_start);
-        if (c == std::string::npos)
-            c = hdr.size();
-        ColumnSummary cs;
-        cs.name = hdr.substr(col_start, c - col_start);
-        out.push_back(std::move(cs));
-        col_start = c + 1;
-    }
-    for (std::size_t r = 1; r < lines.size(); ++r) {
-        std::size_t pos = 0;
-        for (ColumnSummary &cs : out) {
-            std::size_t c = lines[r].find(',', pos);
-            if (c == std::string::npos)
-                c = lines[r].size();
-            double v = std::strtod(lines[r].c_str() + pos, nullptr);
+        if (line.empty())
+            continue;
+        std::vector<std::string> cells = splitCells(line);
+        if (out.empty()) {
+            // Header row names the columns.
+            for (std::string &name : cells)
+                out.push_back({std::move(name)});
+            continue;
+        }
+        if (cells.size() != out.size()) {
+            std::fprintf(stderr,
+                         "hopp-report: %s: line %zu: cell count %zu, the "
+                         "header has %zu\n",
+                         path.c_str(), line_no, cells.size(), out.size());
+            return false;
+        }
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            double v = hopp::cli::parseReal(cells[i].c_str());
+            if (std::isnan(v)) {
+                std::fprintf(stderr,
+                             "hopp-report: %s: line %zu: '%s' in column "
+                             "'%s' is not a number\n",
+                             path.c_str(), line_no, cells[i].c_str(),
+                             out[i].name.c_str());
+                return false;
+            }
+            ColumnSummary &cs = out[i];
             if (cs.samples == 0) {
                 cs.min = cs.max = v;
             } else {
@@ -178,9 +194,6 @@ summarizeCsv(const std::string &text, std::vector<ColumnSummary> &out)
             }
             cs.last = v;
             ++cs.samples;
-            pos = c + 1;
-            if (c == lines[r].size())
-                break;
         }
     }
     return true;
@@ -243,10 +256,12 @@ main(int argc, char **argv)
     // ---- Metrics CSV ----------------------------------------------
     if (!opt.metrics.empty()) {
         std::string text;
-        if (!readFile(opt.metrics, text))
+        if (!readText(opt.metrics, text))
             return 2;
         std::vector<ColumnSummary> cols;
-        if (summarizeCsv(text, cols)) {
+        if (!summarizeCsv(opt.metrics, text, cols))
+            return 2;
+        if (!cols.empty()) {
             md += "\n## Metrics: " + opt.metrics + "\n\n";
             md += "| gauge | last | min | max | samples |\n"
                   "|---|---:|---:|---:|---:|\n";
@@ -259,7 +274,7 @@ main(int argc, char **argv)
     }
 
     if (!opt.outMd.empty()) {
-        if (!writeFile(opt.outMd, md))
+        if (!hopp::obs::writeFile(opt.outMd, md))
             return 2;
     } else {
         std::fputs(md.c_str(), stdout);

@@ -29,6 +29,7 @@
 #include "cli/flags.hh"
 #include "obs/json.hh"
 #include "obs/trace_check.hh"
+#include "obs/trace_writer.hh"
 
 using hopp::obs::TraceCheck;
 namespace json = hopp::obs::json;
@@ -42,23 +43,6 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--check] [--summary] [--top N] FILE\n",
                  argv0);
-}
-
-bool
-readFile(const std::string &path, std::string &out)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        std::fprintf(stderr, "hopp_trace: cannot open '%s'\n",
-                     path.c_str());
-        return false;
-    }
-    char buf[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        out.append(buf, n);
-    std::fclose(f);
-    return true;
 }
 
 const char *
@@ -164,8 +148,11 @@ main(int argc, char **argv)
         summary = true;
 
     std::string text;
-    if (!readFile(path, text))
+    if (!hopp::obs::readFile(path, text)) {
+        std::fprintf(stderr, "hopp_trace: cannot open '%s'\n",
+                     path.c_str());
         return 1;
+    }
 
     json::Value root;
     std::string err;
