@@ -102,13 +102,8 @@ class ExecEngine : public PrefetchSink
                     Meta{stream_id, tier};
             }
         }
-        if (bundled)
-            ++batches_;
         return bundled;
     }
-
-    /** Batched requests issued. */
-    std::uint64_t batches() const { return batches_; }
 
     /** A HoPP prefetch finished loading (PTE injected). */
     void
@@ -173,7 +168,6 @@ class ExecEngine : public PrefetchSink
     std::unordered_map<std::uint64_t, Meta> outstanding_;
     TierStats tierStats_[tierCount];
     std::uint64_t deduped_ = 0;
-    std::uint64_t batches_ = 0;
 };
 
 } // namespace hopp::core

@@ -17,14 +17,10 @@ HoppSystem::start()
 {
     hopp_assert(!started_, "HoPP already started");
     started_ = true;
-    // Initial RPT build: traverse all existing page tables (§III-C).
-    vms_.pageTable().forEachPresent(
-        [this](Pid pid, Vpn vpn, const vm::PageInfo &pi) {
-            pipeline_.rpt().store(
-                pi.ppn, RptEntry{pid, vpn, pi.shared,
-                                 static_cast<std::uint8_t>(
-                                     pi.huge ? 1 : 0)});
-        });
+    hopp_assert(vms_.pageTable().size() == 0,
+                "HoppSystem::start() must run before the first page "
+                "is mapped (page table holds %zu records)",
+                vms_.pageTable().size());
     mc_.attach(this);
     vms_.addPteHook(this);
     vms_.addListener(this);

@@ -31,9 +31,11 @@ class HoppSystem : public mem::McObserver,
                const HoppConfig &cfg = {});
 
     /**
-     * Attach to the machine and build the initial RPT by walking all
-     * existing page tables (§III-C). Call once, before (or while) the
-     * applications run.
+     * Attach to the machine's MC tap, PTE hooks and VMS listeners.
+     * Call once, before the first page is mapped: the RPT then learns
+     * every mapping through onPteSet, so the paper's start-up walk of
+     * all page tables (§III-C) has nothing to find. Dies if the page
+     * table already holds a record.
      */
     void start();
 
@@ -46,10 +48,9 @@ class HoppSystem : public mem::McObserver,
 
     // --- RPT maintenance hooks (§V: set_pte_at / pte_clear) ------
     void
-    onPteSet(Pid pid, Vpn vpn, Ppn ppn, bool shared, bool huge,
-             Tick now) override
+    onPteSet(Pid pid, Vpn vpn, Ppn ppn, Tick now) override
     {
-        pipeline_.onPteSet(pid, vpn, ppn, shared, huge, now);
+        pipeline_.onPteSet(pid, vpn, ppn, now);
     }
     void
     onPteClear(Pid pid, Vpn vpn, Ppn ppn, Tick now) override

@@ -1,9 +1,9 @@
 /**
  * @file
  * The hot-page record HoPP hardware writes to reserved DRAM (step 2 of
- * Figure 4): the PID+VPN combo produced by the RPT cache, plus the
- * shared/huge flags forwarded for software policy (§III-C) and the
- * extraction timestamp.
+ * Figure 4): the PID+VPN combo produced by the RPT cache and the
+ * extraction timestamp. The paper's record also forwards the RPT's
+ * shared and huge-page flags; they are not modelled (see rpt.hh).
  */
 
 #pragma once
@@ -19,9 +19,6 @@ struct HotPage
 {
     Pid pid;
     Vpn vpn;
-    Ppn ppn;
-    bool shared = false;
-    bool huge = false;
     Tick time;
 };
 

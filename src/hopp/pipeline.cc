@@ -146,9 +146,6 @@ HotPagePipeline::onMcAccess(PhysAddr pa, bool is_write, Tick now)
     HotPage hp;
     hp.pid = entry->pid;
     hp.vpn = entry->vpn;
-    hp.ppn = *hot;
-    hp.shared = entry->shared;
-    hp.huge = entry->hugeBits != 0;
     hp.time = now;
     ring_.push(hp);
     ++hotPagesSeen_;
@@ -236,11 +233,9 @@ HotPagePipeline::pruneWarm(Tick now)
 }
 
 void
-HotPagePipeline::onPteSet(Pid pid, Vpn vpn, Ppn ppn, bool shared,
-                          bool huge, Tick)
+HotPagePipeline::onPteSet(Pid pid, Vpn vpn, Ppn ppn, Tick)
 {
-    RptEntry entry{pid, vpn, shared,
-                   static_cast<std::uint8_t>(huge ? 1 : 0)};
+    RptEntry entry{pid, vpn};
     if (cfg_.channelInterleaved) {
         // Any channel's HPD can extract this page: every MC's RPT
         // cache receives the update.

@@ -143,8 +143,7 @@ class HotPagePipeline
     void onMcAccess(PhysAddr pa, bool is_write, Tick now);
 
     // --- RPT maintenance (§V: set_pte_at / pte_clear) ------------
-    void onPteSet(Pid pid, Vpn vpn, Ppn ppn, bool shared, bool huge,
-                  Tick now);
+    void onPteSet(Pid pid, Vpn vpn, Ppn ppn, Tick now);
     void onPteClear(Pid pid, Vpn vpn, Ppn ppn, Tick now);
 
     // --- trace-informed eviction advice (§IV) --------------------
@@ -190,8 +189,6 @@ class HotPagePipeline
                                  PrefetchSink &sink,
                                  const HoppConfig &soft);
 
-    /** Number of software backends (1 unless fanned out). */
-    std::size_t backendCount() const { return backends_.size(); }
     Stt &stt(std::size_t backend)
     {
         return *sttGroups_[backends_.at(backend)->sttGroup].stt;

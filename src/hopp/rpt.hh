@@ -2,11 +2,16 @@
  * @file
  * Reverse Page Table (RPT) and its MC-side cache (§III-C, Figure 6).
  *
- * The RPT maps PPN -> (PID, VPN, shared flag, huge flags) in a
- * reserved, uncached DRAM area (64-bit entries; 0.17% of physical
- * memory). The MC holds a small 16-way RPT cache through which *all*
- * RPT reads and writes pass, so no separate coherence is needed; the
- * DRAM copy is updated lazily on dirty write-back.
+ * The RPT maps PPN -> (PID, VPN) in a reserved, uncached DRAM area
+ * (64-bit entries; 0.17% of physical memory). The MC holds a small
+ * 16-way RPT cache through which *all* RPT reads and writes pass, so
+ * no separate coherence is needed; the DRAM copy is updated lazily on
+ * dirty write-back.
+ *
+ * The paper's entry also carries a shared bit and a 2-bit huge-page
+ * flag for software policy. No workload here maps a shared or huge
+ * page, so they are not modelled; the 64-bit DRAM footprint per entry
+ * (Rpt::bytes, RptCache::entryBytes) still includes their bits.
  */
 
 #pragma once
@@ -27,13 +32,11 @@ class Access; // invariant-checker introspection (src/check)
 namespace hopp::core
 {
 
-/** One RPT entry: 16-bit PID + 40-bit VPN + flags = 64 bits. */
+/** One RPT entry: 16-bit PID + 40-bit VPN in a 64-bit DRAM slot. */
 struct RptEntry
 {
     Pid pid;
     Vpn vpn;
-    bool shared = false;
-    std::uint8_t hugeBits = 0; //!< 2-bit huge-page flag (§III-C)
 };
 
 /**

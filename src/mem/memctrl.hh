@@ -54,9 +54,6 @@ class MemCtrl
     /** Attach an observer; order of attachment = order of callbacks. */
     void attach(McObserver *obs) { observers_.push_back(obs); }
 
-    /** Detach a previously attached observer. */
-    void detach(McObserver *obs);
-
     /** A demand LLC-miss read of one cacheline. */
     void
     demandRead(PhysAddr pa, Tick now)

@@ -173,14 +173,14 @@ Machine::build()
         hoppSystem_->start();
 
     if (!cfg_.recordTracePath.empty()) {
-        // The MC tap persisted: snapshot the page table exactly when
-        // HoppSystem::start() walked it (just above), then observe the
-        // same MC access and PTE event feeds the pipeline consumes.
+        // The MC tap persisted: observe the same MC access and PTE
+        // event feeds the pipeline consumes. Like HoppSystem::start()
+        // just above, this attaches before the first page is mapped,
+        // so the recording holds every mapping the RPT ever learns.
         traceWriter_ = std::make_unique<trace::TraceWriter>(
             cfg_.recordTracePath);
         traceRecordOk_ = traceWriter_->ok();
         recorder_ = std::make_unique<TraceRecorder>(*traceWriter_);
-        recorder_->snapshot(vms_->pageTable());
         mc_->attach(recorder_.get());
         vms_->addPteHook(recorder_.get());
     }

@@ -120,10 +120,10 @@ struct MachineConfig
     std::uint64_t checkInterval = 0;
 
     /**
-     * When non-empty, record the MC-side input stream (initial
-     * page-table snapshot, every MC access, every PTE event) to this
-     * path in the blocked replay-trace format, for later offline
-     * policy sweeps with hopp-replay (DESIGN.md §15).
+     * When non-empty, record the MC-side input stream (every MC
+     * access, every PTE event) to this path in the blocked
+     * replay-trace format, for later offline policy sweeps with
+     * hopp-replay (DESIGN.md §15).
      */
     std::string recordTracePath;
 };

@@ -201,22 +201,9 @@ ReplayEngine::dispatch(const trace::ReplayRecord &r)
         pipeline_.onMcAccess(r.pa, r.isWrite, r.tick);
         break;
       }
-      case trace::ReplayKind::PteInit:
-        // The recorder's initial page-table snapshot: build the RPT
-        // directly, exactly as HoppSystem::start() does — NOT through
-        // onPteSet, which would inflate RPT-cache update counters the
-        // live run never charged.
-        ++pteEvents_;
-        pipeline_.rpt().store(
-            r.ppn, core::RptEntry{r.pid, r.vpn, r.shared,
-                                  static_cast<std::uint8_t>(
-                                      r.huge ? 1 : 0)});
-        frames_[r.ppn.raw()] = pageId(vm::pageKey(r.pid, r.vpn)); // hopp-analyze: allow(raw) map key
-        break;
       case trace::ReplayKind::PteSet:
         ++pteEvents_;
-        pipeline_.onPteSet(r.pid, r.vpn, r.ppn, r.shared, r.huge,
-                           r.tick);
+        pipeline_.onPteSet(r.pid, r.vpn, r.ppn, r.tick);
         frames_[r.ppn.raw()] = pageId(vm::pageKey(r.pid, r.vpn)); // hopp-analyze: allow(raw) map key
         break;
       case trace::ReplayKind::PteClear:

@@ -25,27 +25,6 @@ class TraceRecorder : public mem::McObserver, public vm::PteHook
   public:
     explicit TraceRecorder(trace::TraceWriter &out) : out_(out) {}
 
-    /**
-     * Record the page-table mappings that exist right now as PteInit
-     * records — the §III-C initial-RPT walk, captured so the replay
-     * starts from the same reverse map. Call before attaching.
-     */
-    void
-    snapshot(const vm::PageTable &pt)
-    {
-        trace::ReplayRecord r;
-        r.kind = trace::ReplayKind::PteInit;
-        pt.forEachPresent(
-            [&](Pid pid, Vpn vpn, const vm::PageInfo &pi) {
-                r.pid = pid;
-                r.vpn = vpn;
-                r.ppn = pi.ppn;
-                r.shared = pi.shared;
-                r.huge = pi.huge;
-                out_.append(r);
-            });
-    }
-
     void
     onMcAccess(PhysAddr pa, bool is_write, Tick now) override
     {
@@ -58,16 +37,13 @@ class TraceRecorder : public mem::McObserver, public vm::PteHook
     }
 
     void
-    onPteSet(Pid pid, Vpn vpn, Ppn ppn, bool shared, bool huge,
-             Tick now) override
+    onPteSet(Pid pid, Vpn vpn, Ppn ppn, Tick now) override
     {
         trace::ReplayRecord r;
         r.kind = trace::ReplayKind::PteSet;
         r.pid = pid;
         r.vpn = vpn;
         r.ppn = ppn;
-        r.shared = shared;
-        r.huge = huge;
         r.tick = now;
         out_.append(r);
     }

@@ -3,26 +3,28 @@
  * Compact replay-trace codec: the record vocabulary the replay engine
  * consumes (MC accesses plus the PTE events that keep the RPT in sync)
  * and the delta+zigzag+varint encoding that packs a record into a few
- * bytes. Encoding state resets at every block boundary, so any block
- * of a trace file decodes independently (seekability).
+ * bytes. Encoding state resets at every block boundary, so every block
+ * of a trace file decodes independently.
  *
  * Byte layout of one encoded record (codec::Delta):
  *
  *   control byte:
- *     bits 0-1  record kind (Mc / PteSet / PteClear / PteInit)
- *     bit  2    isWrite (Mc) or shared (PTE kinds)
- *     Mc:       bits 3-7 tick delta 0..30 inline; 31 = escape, a
- *               zigzag varint tick delta follows the control byte.
- *               (Mc has no huge flag, so bit 3 joins the tick code:
- *               inter-access gaps cluster just past 14 ns, and the
- *               wider field keeps them inline.)
- *     PTE:      bit 3 huge; bits 4-7 tick delta 0..14 inline; 15 =
- *               escape as above
+ *     bits 0-1  record kind (Mc / PteSet / PteClear); kind 3 is
+ *               reserved and rejected
+ *     Mc:       bit 2 isWrite; bits 3-7 tick delta 0..30 inline;
+ *               31 = escape, a zigzag varint tick delta follows the
+ *               control byte. (The wide field keeps inter-access
+ *               gaps, which cluster just past 14 ns, inline.)
+ *     PTE:      bits 2-3 reserved, must be zero; bits 4-7 tick delta
+ *               0..14 inline; 15 = escape as above
  *   then, by kind:
  *     Mc        zigzag varint of the cacheline-number delta
- *     PteSet /  varint pid, zigzag varint vpn delta, zigzag varint
- *     PteInit   ppn delta
- *     PteClear  same payload as PteSet (flags unused)
+ *     PteSet    varint pid, zigzag varint vpn delta, zigzag varint
+ *               ppn delta
+ *     PteClear  same payload as PteSet
+ *
+ * A decoder that meets a reserved bit set or kind 3 reports the record
+ * malformed, so the reader returns TraceIoStatus::Corrupt.
  *
  * Deltas are relative to the previous record of the same field within
  * the block; the first record of a block encodes against zeroed state,
@@ -52,13 +54,6 @@ enum class ReplayKind : std::uint8_t
     PteSet = 1,
     /** pte_clear: a mapping was torn down. */
     PteClear = 2,
-    /**
-     * A mapping that existed when recording started (the initial
-     * page-table snapshot). Replayed straight into the RPT, exactly as
-     * HoppSystem::start() builds it, so RPT-cache update counters stay
-     * byte-identical to the live run.
-     */
-    PteInit = 3,
 };
 
 /** One decoded replay record. Unused fields stay zero for each kind. */
@@ -66,8 +61,6 @@ struct ReplayRecord
 {
     ReplayKind kind = ReplayKind::Mc;
     bool isWrite = false; //!< Mc only
-    bool shared = false;  //!< PTE kinds only
-    bool huge = false;    //!< PTE kinds only
     Pid pid;              //!< PTE kinds only
     PhysAddr pa;          //!< Mc only
     Vpn vpn;              //!< PTE kinds only
@@ -149,12 +142,13 @@ namespace detail
 {
 
 inline constexpr std::uint8_t kindMask = 0x3;
-inline constexpr std::uint8_t flagWrite = 1u << 2; // isWrite / shared
-inline constexpr std::uint8_t flagHuge = 1u << 3;  // PTE kinds only
-// Mc: 5-bit tick code (bit 3 is free — no huge flag).
+inline constexpr std::uint8_t flagWrite = 1u << 2; // Mc only
+// PTE kinds: bits 2-3 are reserved and must be zero.
+inline constexpr std::uint8_t pteReserved = 0x3u << 2;
+// Mc: 5-bit tick code above the write flag.
 inline constexpr unsigned mcTickShift = 3;
 inline constexpr std::uint64_t mcTickEscape = 31;
-// PTE kinds: 4-bit tick code above the huge flag.
+// PTE kinds: 4-bit tick code above the reserved bits.
 inline constexpr unsigned tickShift = 4;
 inline constexpr std::uint64_t tickEscape = 15;
 
@@ -169,18 +163,16 @@ encodeRecord(std::vector<std::uint8_t> &buf, DeltaState &st,
         static_cast<std::int64_t>(r.tick.raw() - st.tick);
     st.tick = r.tick.raw();
     std::uint8_t ctl = static_cast<std::uint8_t>(r.kind);
-    if (r.kind == ReplayKind::Mc ? r.isWrite : r.shared)
-        ctl |= detail::flagWrite;
     bool inlineTick;
     if (r.kind == ReplayKind::Mc) {
+        if (r.isWrite)
+            ctl |= detail::flagWrite;
         inlineTick = dt >= 0 && dt <= 30;
         std::uint64_t code = inlineTick
                                  ? static_cast<std::uint64_t>(dt)
                                  : detail::mcTickEscape;
         ctl |= static_cast<std::uint8_t>(code << detail::mcTickShift);
     } else {
-        if (r.huge)
-            ctl |= detail::flagHuge;
         inlineTick = dt >= 0 && dt <= 14;
         std::uint64_t code = inlineTick
                                  ? static_cast<std::uint64_t>(dt)
@@ -208,7 +200,8 @@ encodeRecord(std::vector<std::uint8_t> &buf, DeltaState &st,
 
 /**
  * Decode one record from [@p p, @p end), advancing @p p and @p st.
- * @return false on a malformed or truncated payload.
+ * @return false on a malformed or truncated payload, including a
+ *         reserved kind or a reserved PTE control bit.
  */
 inline bool
 decodeRecord(const std::uint8_t *&p, const std::uint8_t *end,
@@ -217,8 +210,13 @@ decodeRecord(const std::uint8_t *&p, const std::uint8_t *end,
     if (p >= end)
         return false;
     std::uint8_t ctl = *p++;
-    r.kind = static_cast<ReplayKind>(ctl & detail::kindMask);
-    bool isMc = r.kind == ReplayKind::Mc;
+    std::uint8_t kind = ctl & detail::kindMask;
+    bool isMc = kind == static_cast<std::uint8_t>(ReplayKind::Mc);
+    if (!isMc && (kind > static_cast<std::uint8_t>(ReplayKind::PteClear) ||
+                  (ctl & detail::pteReserved) != 0)) {
+        return false; // kind 3, or a PTE record with a reserved bit
+    }
+    r.kind = static_cast<ReplayKind>(kind);
     std::uint64_t code = isMc ? ctl >> detail::mcTickShift
                               : ctl >> detail::tickShift;
     std::int64_t dt;
@@ -232,10 +230,8 @@ decodeRecord(const std::uint8_t *&p, const std::uint8_t *end,
     }
     st.tick += static_cast<std::uint64_t>(dt);
     r.tick = Tick{st.tick};
-    if (r.kind == ReplayKind::Mc) {
+    if (isMc) {
         r.isWrite = (ctl & detail::flagWrite) != 0;
-        r.shared = false;
-        r.huge = false;
         r.pid = Pid{};
         r.vpn = Vpn{};
         r.ppn = Ppn{};
@@ -247,8 +243,6 @@ decodeRecord(const std::uint8_t *&p, const std::uint8_t *end,
         return true;
     }
     r.isWrite = false;
-    r.shared = (ctl & detail::flagWrite) != 0;
-    r.huge = (ctl & detail::flagHuge) != 0;
     r.pa = PhysAddr{};
     std::uint64_t pid_raw, zz;
     if (!getVarint(p, end, pid_raw) || pid_raw > 0xFFFF)

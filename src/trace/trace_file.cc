@@ -1,6 +1,5 @@
 #include "trace/trace_file.hh"
 
-#include <algorithm>
 #include <cstring>
 
 namespace hopp::trace
@@ -57,11 +56,8 @@ traceIoStatusName(TraceIoStatus s)
 
 // ---------------------------------------------------------------- writer
 
-TraceWriter::TraceWriter(const std::string &path, Options opt)
-    : opt_(opt)
+TraceWriter::TraceWriter(const std::string &path)
 {
-    opt_.blockRecords =
-        std::clamp<std::uint32_t>(opt_.blockRecords, 1, maxBlockRecords);
     file_ = std::fopen(path.c_str(), "wb");
     if (!file_)
         return;
@@ -72,7 +68,7 @@ TraceWriter::TraceWriter(const std::string &path, Options opt)
     h.codec = deltaCodec;
     put(&h, sizeof(h));
     // One reservation covers the worst-case block; append never grows.
-    block_.reserve(static_cast<std::size_t>(opt_.blockRecords) *
+    block_.reserve(static_cast<std::size_t>(blockRecords) *
                    maxEncodedRecordBytes);
 }
 
@@ -100,7 +96,7 @@ TraceWriter::append(const ReplayRecord &r)
         return;
     encodeRecord(block_, delta_, r);
     ++records_;
-    if (++blockCount_ >= opt_.blockRecords)
+    if (++blockCount_ >= blockRecords)
         flushBlock();
 }
 
@@ -226,30 +222,6 @@ TraceReader::nextBatch(ReplayRecord *out, std::size_t max)
         ++decoded_;
     }
     return n;
-}
-
-TraceIoStatus
-TraceReader::skipBlocks(std::uint64_t n)
-{
-    if (status_ != TraceIoStatus::Ok)
-        return status_;
-    hopp_assert(blockLeft_ == 0,
-                "skipBlocks mid-block: not at a block boundary");
-    for (std::uint64_t i = 0; i < n && !eof_; ++i) {
-        BlockHeader bh;
-        std::size_t got = std::fread(&bh, 1, sizeof(bh), file_);
-        if (got == 0) {
-            eof_ = true;
-            break;
-        }
-        if (got != sizeof(bh))
-            return status_ = TraceIoStatus::Truncated;
-        if (std::fseek(file_, static_cast<long>(bh.payloadBytes),
-                       SEEK_CUR) != 0) {
-            return status_ = TraceIoStatus::Truncated;
-        }
-    }
-    return status_;
 }
 
 } // namespace hopp::trace

@@ -1,6 +1,6 @@
 /**
  * @file
- * Blocked, seekable replay-trace container (DESIGN.md §15).
+ * Blocked replay-trace container (DESIGN.md §15).
  *
  * File layout:
  *
@@ -9,8 +9,8 @@
  *
  * The codec field is always 0: payloads pack ReplayRecords with the
  * delta+zigzag+varint record codec (codec.hh). Encoder state resets at
- * each block, so blocks decode independently and a reader can seek by
- * skipping whole blocks.
+ * each block, so blocks decode independently and a damaged tail costs
+ * at most one block.
  *
  * TraceWriter streams records out block by block; TraceReader's
  * nextBatch decode loop is allocation-free (all buffers are sized once
@@ -58,6 +58,10 @@ inline constexpr std::uint32_t traceFormatVersion = 1;
 /** Most records one block may carry (bounds reader buffers). */
 inline constexpr std::uint32_t maxBlockRecords = 1u << 16;
 
+/** Records per block TraceWriter writes (the last block may hold fewer). */
+inline constexpr std::uint32_t blockRecords = 4096;
+static_assert(blockRecords <= maxBlockRecords);
+
 /**
  * Streaming trace writer. Records are buffered into blocks and
  * flushed when a block fills; finish() flushes the tail and reports
@@ -66,17 +70,7 @@ inline constexpr std::uint32_t maxBlockRecords = 1u << 16;
 class TraceWriter
 {
   public:
-    struct Options
-    {
-        /** Records per block (clamped to [1, maxBlockRecords]). */
-        std::uint32_t blockRecords = 4096;
-    };
-
-    explicit TraceWriter(const std::string &path)
-        : TraceWriter(path, Options{})
-    {
-    }
-    TraceWriter(const std::string &path, Options opt);
+    explicit TraceWriter(const std::string &path);
     ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
@@ -102,7 +96,6 @@ class TraceWriter
     void put(const void *p, std::size_t n);
 
     std::FILE *file_ = nullptr;
-    Options opt_;
     std::vector<std::uint8_t> block_;
     DeltaState delta_;
     std::uint32_t blockCount_ = 0;
@@ -138,13 +131,6 @@ class TraceReader
 
     /** Ok while healthy (including at clean EOF); sticky on error. */
     TraceIoStatus status() const { return status_; }
-
-    /**
-     * Skip @p n whole blocks without decoding them. Valid only at a
-     * block boundary (before any nextBatch, or after a block drained
-     * exactly). Decoding then resumes with fresh delta state.
-     */
-    TraceIoStatus skipBlocks(std::uint64_t n);
 
     /** Records decoded so far. */
     std::uint64_t recordsDecoded() const { return decoded_; }

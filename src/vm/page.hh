@@ -93,12 +93,6 @@ struct PageInfo
     /** This frame is charged to the owning cgroup. */
     bool charged = false;
 
-    /** Shared-page flag forwarded through the RPT (§III-C). */
-    bool shared = false;
-
-    /** Huge-page flag forwarded through the RPT (§III-C). */
-    bool huge = false;
-
     /** Who fetched the current local copy. */
     Origin origin = originDemand;
 

@@ -50,8 +50,7 @@ class PteHook
     virtual ~PteHook() = default;
 
     /** A PTE mapping (pid, vpn) -> ppn was established. */
-    virtual void onPteSet(Pid pid, Vpn vpn, Ppn ppn, bool shared,
-                          bool huge, Tick now) = 0;
+    virtual void onPteSet(Pid pid, Vpn vpn, Ppn ppn, Tick now) = 0;
 
     /** The PTE mapping (pid, vpn) -> ppn was removed. */
     virtual void onPteClear(Pid pid, Vpn vpn, Ppn ppn, Tick now) = 0;
@@ -127,23 +126,6 @@ class PageTable
 
     /** Number of page records (any state). */
     std::size_t size() const { return size_; }
-
-    /**
-     * Visit every present mapping: fn(pid, vpn, const PageInfo&), in
-     * ascending (pid, vpn) order — the radix layout yields that order
-     * by construction, so consumers (HoPP's initial RPT build, which
-     * walks all page tables at startup, §III-C) observe the same
-     * sequence on every stdlib implementation with no sort step.
-     */
-    template <typename Fn>
-    void
-    forEachPresent(Fn &&fn) const
-    {
-        forEach([&](std::uint64_t key, const PageInfo &pi) {
-            if (pi.state == PageState::Resident)
-                fn(keyPid(key), keyVpn(key), pi);
-        });
-    }
 
     /** Count of pages in a given state (test/metrics helper). */
     std::size_t

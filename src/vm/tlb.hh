@@ -54,12 +54,7 @@ class Tlb : public PteHook
     lookup(Pid pid, Vpn vpn)
     {
         const Slot &s = slots_[index(pid, vpn)];
-        if (s.pi && s.key == pageKey(pid, vpn)) {
-            ++hits_;
-            return s.pi;
-        }
-        ++misses_;
-        return nullptr;
+        return s.pi && s.key == pageKey(pid, vpn) ? s.pi : nullptr;
     }
 
     /**
@@ -74,18 +69,9 @@ class Tlb : public PteHook
         s.pi = pi;
     }
 
-    /** Drop every entry (e.g. between experiment repetitions). */
-    void
-    flush()
-    {
-        for (Slot &s : slots_)
-            s.pi = nullptr;
-        ++flushes_;
-    }
-
     /** PteHook: a set PTE is not a touch; nothing to cache yet. */
     void
-    onPteSet(Pid, Vpn, Ppn, bool, bool, Tick) override
+    onPteSet(Pid, Vpn, Ppn, Tick) override
     {
     }
 
@@ -94,26 +80,9 @@ class Tlb : public PteHook
     onPteClear(Pid pid, Vpn vpn, Ppn, Tick) override
     {
         Slot &s = slots_[index(pid, vpn)];
-        if (s.pi && s.key == pageKey(pid, vpn)) {
+        if (s.pi && s.key == pageKey(pid, vpn))
             s.pi = nullptr;
-            ++shootdowns_;
-        }
     }
-
-    /** Lookup hits (host-side; never reported into simulated stats). */
-    std::uint64_t hits() const { return hits_; }
-
-    /** Lookup misses. */
-    std::uint64_t misses() const { return misses_; }
-
-    /** Entries invalidated by PTE clears. */
-    std::uint64_t shootdowns() const { return shootdowns_; }
-
-    /** Whole-TLB flushes. */
-    std::uint64_t flushes() const { return flushes_; }
-
-    /** Slot count. */
-    std::size_t entries() const { return slots_.size(); }
 
   private:
     struct Slot
@@ -133,10 +102,6 @@ class Tlb : public PteHook
 
     std::vector<Slot> slots_;
     std::size_t mask_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t shootdowns_ = 0;
-    std::uint64_t flushes_ = 0;
 };
 
 } // namespace hopp::vm

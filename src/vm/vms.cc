@@ -46,18 +46,10 @@ Vms::cgroup(Pid pid)
 }
 
 void
-Vms::markFlags(Pid pid, Vpn vpn, bool shared, bool huge)
-{
-    PageInfo &pi = table_.get(pid, vpn);
-    pi.shared = shared;
-    pi.huge = huge;
-}
-
-void
-Vms::firePteSet(Pid pid, Vpn vpn, const PageInfo &pi, Tick now)
+Vms::firePteSet(Pid pid, Vpn vpn, Ppn ppn, Tick now)
 {
     for (auto *h : pteHooks_)
-        h->onPteSet(pid, vpn, pi.ppn, pi.shared, pi.huge, now);
+        h->onPteSet(pid, vpn, ppn, now);
 }
 
 void
@@ -249,7 +241,7 @@ Vms::mapPage(Pid pid, Vpn vpn, PageInfo &pi, Ppn ppn, bool charged,
     }
     if (!pi.inLru)
         cgroup(pid).lruInsert(pageKey(pid, vpn), pi);
-    firePteSet(pid, vpn, pi, now);
+    firePteSet(pid, vpn, pi.ppn, now);
 }
 
 Duration
@@ -310,7 +302,7 @@ Vms::accessSlow(Pid pid, VirtAddr va, bool is_write, Tick now, Tlb *tlb)
         pi.state = PageState::Resident;
         pi.prefetched = false;
         cg.lruInsert(pageKey(pid, vpn), pi);
-        firePteSet(pid, vpn, pi, now + cost);
+        firePteSet(pid, vpn, pi.ppn, now + cost);
         ++stats_.swapCacheHits;
         --swapCachedPages_;
         if (trace_)
@@ -476,7 +468,7 @@ Vms::prefetchInject(Pid pid, Vpn vpn, Origin origin, Tick now)
         pi.injected = true;
         pi.accessedBit = false;
         cg.lruInsert(pageKey(pid, vpn), pi);
-        firePteSet(pid, vpn, pi, now);
+        firePteSet(pid, vpn, pi.ppn, now);
         ++stats_.adoptions;
         --swapCachedPages_;
         if (trace_)

@@ -275,12 +275,6 @@ class Vms
     /** Event counters. */
     const VmsStats &stats() const { return stats_; }
 
-    /**
-     * Mark a page's RPT flags (shared / huge). Test and example helper
-     * exercising the §III-C flag plumbing.
-     */
-    void markFlags(Pid pid, Vpn vpn, bool shared, bool huge);
-
   private:
     friend class hopp::check::Access;
 
@@ -385,7 +379,7 @@ class Vms
     /** Completion handler shared by both prefetch flavours. */
     void finishPrefetch(Pid pid, Vpn vpn, Tick completion);
 
-    void firePteSet(Pid pid, Vpn vpn, const PageInfo &pi, Tick now);
+    void firePteSet(Pid pid, Vpn vpn, Ppn ppn, Tick now);
     void firePteClear(Pid pid, Vpn vpn, Ppn ppn, Tick now);
 
     sim::EventQueue &eq_;

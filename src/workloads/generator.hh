@@ -4,8 +4,8 @@
  *
  * Workloads are streaming generators of virtual-address accesses at
  * cacheline granularity; they are never materialised, so footprints and
- * iteration counts can be large. Composition (phases, interleaving,
- * limits) happens through combinator generators.
+ * iteration counts can be large. Composition (phases, interleaving)
+ * happens through combinator generators.
  */
 
 #pragma once
@@ -186,43 +186,6 @@ class InterleaveGen : public AccessGenerator
     unsigned burst_;
     std::size_t cur_ = 0;
     unsigned taken_ = 0;
-};
-
-/** Truncate a generator after a fixed number of accesses. */
-class LimitGen : public AccessGenerator
-{
-  public:
-    LimitGen(GeneratorPtr inner, std::uint64_t limit)
-        : inner_(std::move(inner)), limit_(limit)
-    {
-    }
-
-    bool
-    next(Access &out) override
-    {
-        if (count_ >= limit_ || !inner_->next(out))
-            return false;
-        ++count_;
-        return true;
-    }
-
-    std::size_t
-    nextBatch(Access *out, std::size_t n) override
-    {
-        std::uint64_t room = limit_ - count_;
-        if (room == 0)
-            return 0; // like next(): the inner generator is not probed
-        std::size_t want =
-            n < room ? n : static_cast<std::size_t>(room);
-        std::size_t got = inner_->nextBatch(out, want);
-        count_ += got;
-        return got;
-    }
-
-  private:
-    GeneratorPtr inner_;
-    std::uint64_t limit_;
-    std::uint64_t count_ = 0;
 };
 
 } // namespace hopp::workloads

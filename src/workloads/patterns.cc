@@ -32,7 +32,7 @@ drainInto(G &g, Access *out, std::size_t n)
 // SequentialScan
 // ---------------------------------------------------------------------
 
-SequentialScan::SequentialScan(const Params &p) : p_(p), visits_(p.pages)
+SequentialScan::SequentialScan(const Params &p) : p_(p)
 {
     hopp_assert(p_.pages > 0, "scan needs pages");
     hopp_assert(p_.pageStride != 0, "scan needs a nonzero stride");
@@ -45,14 +45,14 @@ SequentialScan::next(Access &out)
 {
     if (pass_ >= p_.passes)
         return false;
-    std::uint64_t idx = p_.backward ? visits_ - 1 - visit_ : visit_;
-    std::int64_t page_off = static_cast<std::int64_t>(idx) * p_.pageStride;
+    std::int64_t page_off =
+        static_cast<std::int64_t>(visit_) * p_.pageStride;
     out.va = p_.base + static_cast<std::uint64_t>(page_off) * pageBytes +
              static_cast<std::uint64_t>(line_) * lineBytes;
     out.write = p_.write;
     if (++line_ >= p_.linesPerPage) {
         line_ = 0;
-        if (++visit_ >= visits_) {
+        if (++visit_ >= p_.pages) {
             visit_ = 0;
             ++pass_;
         }
@@ -185,7 +185,7 @@ GatherGen::next(Access &out)
         if (++page_ >= p_.seqPages) {
             page_ = 0;
             ++pass_;
-            pendingReset_ = p_.fixedSequence;
+            pendingReset_ = true;
         }
     }
     return true;

@@ -37,7 +37,6 @@ class SequentialScan : public AccessGenerator
         unsigned linesPerPage = 64;   //!< lines touched per page visit
         unsigned passes = 1;          //!< full scans of the region
         bool write = false;
-        bool backward = false;        //!< scan from the top down
     };
 
     explicit SequentialScan(const Params &p);
@@ -47,8 +46,7 @@ class SequentialScan : public AccessGenerator
 
   private:
     Params p_;
-    std::uint64_t visits_;   // page visits per pass
-    std::uint64_t visit_ = 0;
+    std::uint64_t visit_ = 0; // page visits so far this pass
     unsigned line_ = 0;
     unsigned pass_ = 0;
 };
@@ -146,15 +144,14 @@ class GatherGen : public AccessGenerator
         /** Gather accesses per sequential line access. */
         double gatherPerLine = 0.5;
         double zipfTheta = 0.8;
-        unsigned passes = 1;
-
         /**
-         * Replay the same gather sequence every pass, as iterating
-         * over a fixed edge list / sparse matrix does. Correlation
-         * (Markov) prefetching can learn such repeats from the full
-         * trace; fault-only history cannot.
+         * Full sweeps of the sequential region. Every pass replays
+         * the same gather sequence, as iterating over a fixed edge
+         * list / sparse matrix does. Correlation (Markov) prefetching
+         * can learn such repeats from the full trace; fault-only
+         * history cannot.
          */
-        bool fixedSequence = true;
+        unsigned passes = 1;
         std::uint64_t seed = 1;
     };
 
@@ -172,8 +169,8 @@ class GatherGen : public AccessGenerator
     unsigned line_ = 0;
     unsigned pass_ = 0;
     double gatherDebt_ = 0.0;
-    bool pendingReset_ = false; //!< fixed-sequence rng reset deferred
-                                //!< until the old pass's gathers drain
+    bool pendingReset_ = false; //!< per-pass rng reset deferred until
+                                //!< the old pass's gathers drain
 };
 
 /**

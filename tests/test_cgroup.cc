@@ -116,10 +116,12 @@ TEST(PageTable, ForEachPresentVisitsOnlyMapped)
     pt.get(Pid{1}, Vpn{2}).state = PageState::Swapped;
     pt.get(Pid{2}, Vpn{3}).state = PageState::Resident;
     int visits = 0;
-    pt.forEachPresent([&](Pid pid, Vpn vpn, const PageInfo &) {
+    pt.forEach([&](std::uint64_t key, const PageInfo &pi) {
+        if (pi.state != PageState::Resident)
+            return;
         ++visits;
-        EXPECT_TRUE((pid == Pid{1} && vpn == Vpn{1}) ||
-                    (pid == Pid{2} && vpn == Vpn{3}));
+        EXPECT_TRUE(key == pageKey(Pid{1}, Vpn{1}) ||
+                    key == pageKey(Pid{2}, Vpn{3}));
     });
     EXPECT_EQ(visits, 2);
 }

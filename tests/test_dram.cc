@@ -109,15 +109,3 @@ TEST(MemCtrl, TrafficChargedToRightSources)
     EXPECT_EQ(dram.traffic(TrafficSource::AppWrite), lineBytes);
     EXPECT_EQ(dram.traffic(TrafficSource::PageTransfer), pageBytes);
 }
-
-TEST(MemCtrl, DetachStopsCallbacks)
-{
-    Dram dram(8);
-    MemCtrl mc(dram);
-    RecordingObserver obs;
-    mc.attach(&obs);
-    mc.demandRead(PhysAddr{}, Tick{});
-    mc.detach(&obs);
-    mc.demandRead(PhysAddr{64}, Tick{});
-    EXPECT_EQ(obs.events.size(), 1u);
-}

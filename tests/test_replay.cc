@@ -97,15 +97,8 @@ unsharedTierCounts(const std::string &trace_path,
               case trace::ReplayKind::Mc:
                 frontend.onMcAccess(r.pa, r.isWrite, r.tick);
                 break;
-              case trace::ReplayKind::PteInit:
-                frontend.rpt().store(
-                    r.ppn, core::RptEntry{r.pid, r.vpn, r.shared,
-                                          static_cast<std::uint8_t>(
-                                              r.huge ? 1 : 0)});
-                break;
               case trace::ReplayKind::PteSet:
-                frontend.onPteSet(r.pid, r.vpn, r.ppn, r.shared,
-                                  r.huge, r.tick);
+                frontend.onPteSet(r.pid, r.vpn, r.ppn, r.tick);
                 break;
               case trace::ReplayKind::PteClear:
                 frontend.onPteClear(r.pid, r.vpn, r.ppn, r.tick);
@@ -286,8 +279,8 @@ replayRemap(RemapEnd end)
         trace::TraceWriter w(path);
         Tick t{0};
         for (std::uint64_t i = 0; i < remapStreamPages; ++i)
-            w.append(pte(ReplayKind::PteInit, Vpn{1000 + i}, Ppn{10 + i}, t));
-        w.append(pte(ReplayKind::PteInit, old_page, frame, t));
+            w.append(pte(ReplayKind::PteSet, Vpn{1000 + i}, Ppn{10 + i}, t));
+        w.append(pte(ReplayKind::PteSet, old_page, frame, t));
         w.append(mcRead(frame, 0, t += 100));
         for (std::uint64_t i = 0; i < remapStreamPages; ++i) {
             // Eight reads make a page hot (HpdConfig::threshold); the

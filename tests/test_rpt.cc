@@ -34,13 +34,11 @@ struct RptFixture : ::testing::Test
 
 TEST_F(RptFixture, RptStoreLoadErase)
 {
-    rpt.store(Ppn{5}, RptEntry{Pid{3}, Vpn{0x123}, true, 1});
+    rpt.store(Ppn{5}, RptEntry{Pid{3}, Vpn{0x123}});
     auto e = rpt.load(Ppn{5});
     ASSERT_TRUE(e.has_value());
     EXPECT_EQ(e->pid, Pid{3});
     EXPECT_EQ(e->vpn, Vpn{0x123});
-    EXPECT_TRUE(e->shared);
-    EXPECT_EQ(e->hugeBits, 1);
     rpt.erase(Ppn{5});
     EXPECT_FALSE(rpt.load(Ppn{5}).has_value());
 }

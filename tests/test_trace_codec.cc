@@ -1,10 +1,10 @@
 /**
  * @file
  * Replay-trace codec tests: varint/zigzag edge values, delta sign
- * changes, randomized full round trips, the container's header
- * contract (codec field 0 only; an empty trace is ok and empty),
- * truncated/corrupt file rejection, and block-boundary resume
- * (seekability).
+ * changes, randomized full round trips across block edges, the
+ * container's header contract (codec field 0 only; an empty trace is
+ * ok and empty), truncated file rejection, and reserved control bits
+ * and kinds decoding as corrupt.
  */
 
 #include <gtest/gtest.h>
@@ -39,8 +39,6 @@ expectEqualRecords(const ReplayRecord &a, const ReplayRecord &b,
 {
     EXPECT_EQ(a.kind, b.kind) << "record " << i;
     EXPECT_EQ(a.isWrite, b.isWrite) << "record " << i;
-    EXPECT_EQ(a.shared, b.shared) << "record " << i;
-    EXPECT_EQ(a.huge, b.huge) << "record " << i;
     EXPECT_EQ(a.pid, b.pid) << "record " << i;
     EXPECT_EQ(a.pa, b.pa) << "record " << i;
     EXPECT_EQ(a.vpn, b.vpn) << "record " << i;
@@ -60,11 +58,10 @@ readAll(TraceReader &reader)
 }
 
 std::vector<ReplayRecord>
-roundTrip(const std::vector<ReplayRecord> &in, const char *name,
-          TraceWriter::Options opt = {})
+roundTrip(const std::vector<ReplayRecord> &in, const char *name)
 {
     std::string path = tmpPath(name);
-    TraceWriter w(path, opt);
+    TraceWriter w(path);
     for (const auto &r : in)
         w.append(r);
     EXPECT_TRUE(w.finish());
@@ -144,8 +141,6 @@ TEST(TraceCodec, DeltaSignChangesRoundTrip)
         ReplayRecord p;
         p.kind = i % 2 ? ReplayKind::PteSet : ReplayKind::PteClear;
         p.pid = Pid{static_cast<std::uint64_t>(7 + i)};
-        p.shared = i % 2 != 0;
-        p.huge = i == 3;
         p.vpn = Vpn{static_cast<std::uint64_t>(i < 3 ? 1u << 20 : 5)};
         p.ppn = Ppn{static_cast<std::uint64_t>(i < 3 ? 9 : 1u << 19)};
         p.tick = Tick{ticks[i]};
@@ -171,9 +166,6 @@ TEST(TraceCodec, RandomizedRoundTrip)
           case 1:
             r.kind = ReplayKind::PteClear;
             break;
-          case 2:
-            r.kind = ReplayKind::PteInit;
-            break;
           default:
             r.kind = ReplayKind::Mc;
             break;
@@ -197,17 +189,15 @@ TEST(TraceCodec, RandomizedRoundTrip)
                    rng.below(linesPerPage) * lineBytes;
         } else {
             r.pid = Pid{rng.below(0xFFFF)};
-            r.shared = rng.below(2) != 0;
-            r.huge = r.kind != ReplayKind::PteClear && rng.below(8) == 0;
             r.vpn = Vpn{rng.below64(1ull << 36)};
             r.ppn = Ppn{rng.below(1u << 22)};
         }
         in.push_back(r);
     }
-    // Small blocks so the stream crosses many block boundaries.
-    TraceWriter::Options opt;
-    opt.blockRecords = 257;
-    auto out = roundTrip(in, "hopp_codec_random.htrc", opt);
+    // Four block edges: each block's first record decodes against
+    // fresh delta state.
+    static_assert(20000 / blockRecords == 4);
+    auto out = roundTrip(in, "hopp_codec_random.htrc");
     ASSERT_EQ(out.size(), in.size());
     for (std::size_t i = 0; i < in.size(); ++i)
         expectEqualRecords(in[i], out[i], i);
@@ -313,45 +303,45 @@ TEST(TraceCodec, MissingFileAndBadMagicRejected)
     std::remove(path.c_str());
 }
 
-TEST(TraceCodec, BlockBoundaryResume)
+TEST(TraceCodec, ReservedControlBitsAndKindAreCorrupt)
 {
-    // Blocks must decode independently: skip the first k blocks and
-    // the remainder must equal the tail of a full sequential read.
-    std::string path = tmpPath("hopp_codec_seek.htrc");
-    TraceWriter::Options opt;
-    opt.blockRecords = 64;
-    Pcg32 rng(0x5EED, 7);
-    std::vector<ReplayRecord> in;
-    std::uint64_t tick = 0;
-    {
-        TraceWriter w(path, opt);
-        for (int i = 0; i < 64 * 5 + 13; ++i) {
-            ReplayRecord r;
-            r.kind = i % 9 == 0 ? ReplayKind::PteSet : ReplayKind::Mc;
-            tick += rng.below(200);
-            r.tick = Tick{tick};
-            if (r.kind == ReplayKind::Mc) {
-                r.pa = pageBase(Ppn{rng.below(1u << 20)});
-            } else {
-                r.pid = Pid{3};
-                r.vpn = Vpn{rng.below(1u << 20)};
-                r.ppn = Ppn{rng.below(1u << 20)};
-            }
-            in.push_back(r);
-            w.append(r);
+    // A valid trace holds one PteSet record followed by one Mc record;
+    // its control byte is the first payload byte, after the 16-byte
+    // file header and the 8-byte block header. Setting PTE bit 2 or
+    // bit 3, or turning the kind into 3, must make the reader report
+    // Corrupt rather than decode a record no recording contains.
+    std::string path = tmpPath("hopp_codec_reserved.htrc");
+    const long ctl_at = 16 + 8;
+    for (std::uint8_t flip : {std::uint8_t{1u << 2}, std::uint8_t{1u << 3},
+                              std::uint8_t{0x2}}) {
+        {
+            TraceWriter w(path);
+            ReplayRecord pte;
+            pte.kind = ReplayKind::PteSet;
+            pte.pid = Pid{3};
+            pte.vpn = Vpn{0x42};
+            pte.ppn = Ppn{7};
+            pte.tick = Tick{5};
+            w.append(pte);
+            ReplayRecord mc;
+            mc.pa = pageBase(Ppn{7});
+            mc.tick = Tick{9};
+            w.append(mc);
+            ASSERT_TRUE(w.finish());
         }
-        ASSERT_TRUE(w.finish());
-    }
-    for (std::uint64_t skip : {1u, 3u, 5u}) {
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fseek(f, ctl_at, SEEK_SET), 0);
+        int ctl = std::fgetc(f);
+        ASSERT_EQ(ctl & 0xF, 1) << "PteSet, no reserved bit set";
+        ASSERT_EQ(std::fseek(f, ctl_at, SEEK_SET), 0);
+        ASSERT_EQ(std::fputc(ctl ^ flip, f), ctl ^ flip);
+        std::fclose(f);
         TraceReader reader;
         ASSERT_EQ(reader.open(path), TraceIoStatus::Ok);
-        ASSERT_EQ(reader.skipBlocks(skip), TraceIoStatus::Ok);
-        auto tail = readAll(reader);
-        EXPECT_EQ(reader.status(), TraceIoStatus::Ok);
-        std::size_t from = skip * 64;
-        ASSERT_EQ(tail.size(), in.size() - from) << "skip " << skip;
-        for (std::size_t i = 0; i < tail.size(); ++i)
-            expectEqualRecords(in[from + i], tail[i], i);
+        EXPECT_TRUE(readAll(reader).empty()) << "flip " << int{flip};
+        EXPECT_EQ(reader.status(), TraceIoStatus::Corrupt)
+            << "flip " << int{flip};
     }
     std::remove(path.c_str());
 }

@@ -65,7 +65,7 @@ struct HookRecorder : PteHook
     std::vector<std::pair<Vpn, Ppn>> clears;
 
     void
-    onPteSet(Pid, Vpn vpn, Ppn ppn, bool, bool, Tick) override
+    onPteSet(Pid, Vpn vpn, Ppn ppn, Tick) override
     {
         sets.emplace_back(vpn, ppn);
     }
@@ -392,6 +392,25 @@ TEST_F(VmsTest, TinyKswapdBatchStillConvergesToLowWatermark)
     EXPECT_LE(vms->cgroup(pid).charged(), low + 1);
 }
 
+TEST_F(VmsTest, KswapdLatchClearsAndRearms)
+{
+    // The kswapd latch lives in the Cgroup: it clears once background
+    // reclaim reaches the low watermark and arms again on the next
+    // climb past the high one.
+    rebuild(8, 256, /*kswapd=*/true);
+    Tick t = fill(8);
+    ASSERT_TRUE(vms->cgroup(pid).kswapdActive());
+    // Let background reclaim run to below the low watermark.
+    eq->runUntil(t + Duration{100'000'000});
+    EXPECT_FALSE(vms->cgroup(pid).kswapdActive());
+    EXPECT_GT(vms->stats().kswapdReclaims, 0u);
+    // Refill above the watermark: the latch must arm again.
+    t = fill(8, eq->now());
+    EXPECT_TRUE(vms->cgroup(pid).kswapdActive());
+    eq->runUntil(t + Duration{100'000'000});
+    EXPECT_FALSE(vms->cgroup(pid).kswapdActive());
+}
+
 TEST_F(VmsTest, AccessBatchMatchesScalarLoop)
 {
     // Any record with .va/.write drains through accessBatch; the
@@ -500,23 +519,3 @@ TEST_F(VmsTest, MultipleProcessesHaveIndependentCgroups)
     EXPECT_EQ(vms->pageTable().find(pid, Vpn{0})->state, PageState::Resident);
 }
 
-TEST_F(VmsTest, MarkFlagsPropagateToHooks)
-{
-    vms->markFlags(pid, Vpn{7}, /*shared=*/true, /*huge=*/false);
-    bool saw_shared = false;
-    struct FlagHook : PteHook
-    {
-        bool *saw;
-        void
-        onPteSet(Pid, Vpn vpn, Ppn, bool shared, bool, Tick) override
-        {
-            if (vpn == Vpn{7} && shared)
-                *saw = true;
-        }
-        void onPteClear(Pid, Vpn, Ppn, Tick) override {}
-    } fh;
-    fh.saw = &saw_shared;
-    vms->addPteHook(&fh);
-    touch(Vpn{7});
-    EXPECT_TRUE(saw_shared);
-}
